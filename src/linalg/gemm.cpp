@@ -49,6 +49,11 @@ void gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
   kernels().gemm_s8(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+void quantize_s8(const float* x, std::int64_t n, float inv_scale,
+                 std::int8_t* out) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = quantize_s8(x[i] * inv_scale);
+}
+
 void axpy(int n, float alpha, const float* x, float* y) {
   for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
 }

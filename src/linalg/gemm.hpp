@@ -10,6 +10,7 @@
 // results are bit-identical for any thread count (including 1).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,6 +37,21 @@ void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
 /// this one gets it for free).
 void gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
              const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
+
+/// The int8 rounding rule shared by weight quantization, activation
+/// quantization and every int8 conv lowering: clamp v to [-127, 127] in
+/// float, then round half to even. +inf and any large positive value
+/// saturate to +127, -inf to -127; NaN fails both comparisons and lands on
+/// -127. It is the scalar reference the AVX2 fused-conv pack reproduces.
+inline std::int8_t quantize_s8(float v) {
+  const float c = v > 127.0f ? 127.0f : (v >= -127.0f ? v : -127.0f);
+  return static_cast<std::int8_t>(std::rint(c));
+}
+
+/// out[i] = quantize_s8(x[i] * inv_scale) over n values: static symmetric
+/// quantization against a scale given by its reciprocal.
+void quantize_s8(const float* x, std::int64_t n, float inv_scale,
+                 std::int8_t* out);
 
 /// y = alpha * x + y over n elements.
 void axpy(int n, float alpha, const float* x, float* y);

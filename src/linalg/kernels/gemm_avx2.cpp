@@ -1,6 +1,6 @@
 // AVX2 kernel backend: register-blocked GEMM microkernels over packed B
-// panels, and a fused 3x3 convolution that skips im2col for the paper net's
-// stride-1/stride-2 shapes.
+// panels, and fused fp32 and int8 3x3 convolutions that skip im2col for the
+// paper net's stride-1/stride-2 shapes.
 //
 // Bit-identity with the scalar fallback is a hard contract (tests and the CI
 // kernel-dispatch job memcmp the two backends): every output element
@@ -19,10 +19,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "linalg/gemm.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
 
@@ -530,6 +532,256 @@ void avx2_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
   });
 }
 
+// ---------------------------------------------------------------------------
+// Fused int8 3x3 convolution (pad 1, stride 1 or 2)
+//
+// The pack quantizes every input pixel exactly once, straight from the fp32
+// sample into padded int16 planes, two input channels interleaved per 32-bit
+// word: word = [q(c) | q(c + 1) << 16]. One unaligned load then holds eight
+// output columns' (c, c + 1) tap pairs in the vpmaddwd layout, and the
+// matching weight pair is one broadcast word, so each vpmaddwd retires two
+// taps of eight outputs into int32 accumulators. An odd last channel pairs
+// with a zero plane and zero weights, which adds exact zeros. The halo is
+// built from quantized values: q(0) = 0 for zero padding (the caller
+// guarantees a finite 1 / scale), and a replicated edge holds q(edge) — the
+// same int8 value im2col of the quantized sample produces at every tap.
+//
+// Stride-2 rows are stored phase-split (even padded columns, then odd ones),
+// so output column ow reads tap kj contiguously at even[ow], odd[ow] and
+// even[ow + 1]. Tail column blocks compute a full vector over zeroed slack
+// and store only the valid lanes.
+//
+// Integer accumulation is exact in any order, so the accumulators are
+// byte-identical to quantize + im2col + gemm_s8 for every shape.
+// ---------------------------------------------------------------------------
+
+/// Slack words past the last padded column: a full 8-lane load starting at
+/// any valid output column stays inside the row.
+constexpr int kS8Slack = 8;
+
+/// Per-thread buffers of the int8 conv: packed planes, weight pairs, and
+/// one stride-2 row before its phase split.
+struct S8Scratch {
+  std::vector<std::int32_t> planes, weights, row;
+};
+
+S8Scratch& s8_scratch() {
+  thread_local S8Scratch buffers;
+  return buffers;
+}
+
+/// Two int8 values as one int16-pair word: lo in bits 0-15, hi in 16-31.
+inline std::int32_t pair_word(int lo, int hi) {
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16));
+}
+
+/// Eight lanes of quantize_s8(x * inv): multiply, clamp in float, then
+/// vcvtps2dq rounds half to even (the MXCSR default, as std::rint). maxps
+/// returns its second operand when the first is NaN, so NaN lands on -127.
+inline __m256i quantize8(const float* x, __m256 inv) {
+  const __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x), inv);
+  const __m256 c = _mm256_min_ps(_mm256_max_ps(v, _mm256_set1_ps(-127.0f)),
+                                 _mm256_set1_ps(127.0f));
+  return _mm256_cvtps_epi32(c);
+}
+
+/// One padded row of a channel pair as pair words: out[0] is the left halo,
+/// out[1..w] the quantized pixels, out[w + 1] the right halo. r1 is null for
+/// the zero partner of an odd last channel.
+void quantize_pair_row(const float* r0, const float* r1, int w, float inv,
+                       bool replicate, std::int32_t* out) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256i lo16 = _mm256_set1_epi32(0xffff);
+  int j = 0;
+  for (; j + 8 <= w; j += 8) {
+    const __m256i q0 = _mm256_and_si256(quantize8(r0 + j, vinv), lo16);
+    const __m256i q1 = r1 != nullptr
+                           ? _mm256_slli_epi32(quantize8(r1 + j, vinv), 16)
+                           : _mm256_setzero_si256();
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 1 + j),
+                        _mm256_or_si256(q0, q1));
+  }
+  for (; j < w; ++j) {
+    out[1 + j] = pair_word(quantize_s8(r0[j] * inv),
+                           r1 != nullptr ? quantize_s8(r1[j] * inv) : 0);
+  }
+  out[0] = replicate ? out[1] : 0;
+  out[w + 1] = replicate ? out[w] : 0;
+}
+
+/// Geometry of the packed planes: cpairs planes of (h + 2) rows of wp words.
+struct S8Planes {
+  const std::int32_t* data;
+  std::ptrdiff_t plane_stride;  ///< words per channel-pair plane
+  int wp;                       ///< words per padded row
+  int half;                     ///< stride 2: offset of the odd columns
+  int cpairs;
+};
+
+void pack_s8_planes(const Conv3x3S8Args& args, const S8Planes& g,
+                    std::int32_t* pad) {
+  const int h = args.h, w = args.w;
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(h) * w;
+  std::vector<std::int32_t>& tmp = s8_scratch().row;
+  tmp.resize(static_cast<std::size_t>(w) + 2);
+  for (int cp = 0; cp < g.cpairs; ++cp) {
+    const float* p0 = args.src + 2 * cp * hw;
+    const float* p1 = 2 * cp + 1 < args.cin ? p0 + hw : nullptr;
+    std::int32_t* plane = pad + cp * g.plane_stride;
+    for (int r = 0; r < h; ++r) {
+      std::int32_t* out = plane + static_cast<std::ptrdiff_t>(r + 1) * g.wp;
+      const std::ptrdiff_t in = static_cast<std::ptrdiff_t>(r) * w;
+      if (args.stride == 1) {
+        quantize_pair_row(p0 + in, p1 != nullptr ? p1 + in : nullptr, w,
+                          args.inv_scale, args.replicate, out);
+        std::fill(out + w + 2, out + g.wp, 0);
+      } else {
+        quantize_pair_row(p0 + in, p1 != nullptr ? p1 + in : nullptr, w,
+                          args.inv_scale, args.replicate, tmp.data());
+        std::fill(out, out + g.wp, 0);
+        for (int c = 0; c < w + 2; ++c) {
+          out[(c & 1) != 0 ? g.half + c / 2 : c / 2] = tmp[c];
+        }
+      }
+    }
+    std::int32_t* top = plane;
+    std::int32_t* bottom = plane + static_cast<std::ptrdiff_t>(h + 1) * g.wp;
+    if (args.replicate) {
+      std::copy(top + g.wp, top + 2 * g.wp, top);
+      std::copy(bottom - g.wp, bottom, bottom);
+    } else {
+      std::fill(top, top + g.wp, 0);
+      std::fill(bottom, bottom + g.wp, 0);
+    }
+  }
+}
+
+/// kCo output channels x kNv 8-column vectors of one output row, starting at
+/// (co0, oh, ow); `valid` of the 8 * kNv columns exist in the output.
+template <int kStride, int kCo, int kNv>
+void s8_tile(const Conv3x3S8Args& args, const S8Planes& g,
+             const std::int32_t* wpairs, int co0, int oh, int ow, int valid) {
+  __m256i acc[kCo][kNv];
+  for (int c = 0; c < kCo; ++c) {
+    for (int v = 0; v < kNv; ++v) acc[c][v] = _mm256_setzero_si256();
+  }
+  const std::ptrdiff_t wco = static_cast<std::ptrdiff_t>(g.cpairs) * 9;
+  for (int cp = 0; cp < g.cpairs; ++cp) {
+    const std::int32_t* plane = g.data + cp * g.plane_stride;
+    const std::int32_t* wt = wpairs + co0 * wco + cp * 9;
+    for (int ki = 0; ki < 3; ++ki) {
+      const std::int32_t* row =
+          plane + static_cast<std::ptrdiff_t>(oh * kStride + ki) * g.wp;
+      for (int kj = 0; kj < 3; ++kj) {
+        const int off = kStride == 1 ? ow + kj
+                        : kj == 1    ? g.half + ow
+                                     : ow + kj / 2;
+        __m256i x[kNv];
+        for (int v = 0; v < kNv; ++v) {
+          x[v] = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(row + off + 8 * v));
+        }
+        for (int c = 0; c < kCo; ++c) {
+          const __m256i wv = _mm256_set1_epi32(wt[c * wco + ki * 3 + kj]);
+          for (int v = 0; v < kNv; ++v) {
+            acc[c][v] =
+                _mm256_add_epi32(acc[c][v], _mm256_madd_epi16(x[v], wv));
+          }
+        }
+      }
+    }
+  }
+  const std::ptrdiff_t plane_out =
+      static_cast<std::ptrdiff_t>(args.ho) * args.wo;
+  for (int c = 0; c < kCo; ++c) {
+    std::int32_t* out = args.dst + (co0 + c) * plane_out +
+                        static_cast<std::ptrdiff_t>(oh) * args.wo + ow;
+    for (int v = 0; v < kNv; ++v) {
+      const int lanes = valid - 8 * v;
+      if (lanes >= 8) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * v),
+                            acc[c][v]);
+      } else {
+        const __m256i mask =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        _mm256_maskstore_epi32(out + 8 * v, mask, acc[c][v]);
+      }
+    }
+  }
+}
+
+/// One output row for output channels [co0, co0 + kCo): 16-column tiles,
+/// then one 8-column tile for what is left.
+template <int kStride, int kCo>
+void s8_row(const Conv3x3S8Args& args, const S8Planes& g,
+            const std::int32_t* wpairs, int co0, int oh) {
+  int ow = 0;
+  for (; ow + 8 < args.wo; ow += 16) {
+    s8_tile<kStride, kCo, 2>(args, g, wpairs, co0, oh, ow,
+                             std::min(16, args.wo - ow));
+  }
+  if (ow < args.wo) {
+    s8_tile<kStride, kCo, 1>(args, g, wpairs, co0, oh, ow, args.wo - ow);
+  }
+}
+
+template <int kStride>
+void s8_conv(const Conv3x3S8Args& args, const S8Planes& g,
+             const std::int32_t* wpairs) {
+  for (int oh = 0; oh < args.ho; ++oh) {
+    int co = 0;
+    for (; co + 4 <= args.cout; co += 4) {
+      s8_row<kStride, 4>(args, g, wpairs, co, oh);
+    }
+    for (; co < args.cout; ++co) s8_row<kStride, 1>(args, g, wpairs, co, oh);
+  }
+}
+
+void avx2_conv3x3_s8(const Conv3x3S8Args& args) {
+  obs::counter_add(obs::Counter::kConvFusedS8Calls, 1);
+  S8Planes g{};
+  g.cpairs = (args.cin + 1) / 2;
+  if (args.stride == 1) {
+    g.wp = args.w + 2 + kS8Slack;
+  } else {
+    g.half = args.wo + kS8Slack;
+    g.wp = 2 * g.half;
+  }
+  g.plane_stride = static_cast<std::ptrdiff_t>(args.h + 2) * g.wp;
+  std::vector<std::int32_t>& pad = s8_scratch().planes;
+  pad.resize(static_cast<std::size_t>(g.cpairs * g.plane_stride));
+  pack_s8_planes(args, g, pad.data());
+  g.data = pad.data();
+  obs::counter_add(
+      obs::Counter::kKernelPackedBytes,
+      static_cast<std::int64_t>(pad.size() * sizeof(std::int32_t)));
+
+  // Weight pairs, [co][cpair][tap], matching the plane interleave.
+  std::vector<std::int32_t>& wpairs = s8_scratch().weights;
+  wpairs.resize(static_cast<std::size_t>(args.cout) * g.cpairs * 9);
+  for (int co = 0; co < args.cout; ++co) {
+    const std::int8_t* wco =
+        args.weights + static_cast<std::ptrdiff_t>(co) * args.cin * 9;
+    for (int cp = 0; cp < g.cpairs; ++cp) {
+      const std::int8_t* w0 = wco + 2 * cp * 9;
+      const bool has_hi = 2 * cp + 1 < args.cin;
+      for (int t = 0; t < 9; ++t) {
+        wpairs[(static_cast<std::size_t>(co) * g.cpairs + cp) * 9 + t] =
+            pair_word(w0[t], has_hi ? w0[9 + t] : 0);
+      }
+    }
+  }
+
+  if (args.stride == 1) {
+    s8_conv<1>(args, g, wpairs.data());
+  } else {
+    s8_conv<2>(args, g, wpairs.data());
+  }
+}
+
 const KernelTable kAvx2Table = {
     KernelBackend::kAvx2,
     avx2_gemm_nn,
@@ -537,6 +789,7 @@ const KernelTable kAvx2Table = {
     scalar_gemm_nt,  // dot-product shape: no contract-preserving vector win
     avx2_conv3x3,
     avx2_gemm_s8,
+    avx2_conv3x3_s8,
 };
 
 }  // namespace

@@ -123,6 +123,7 @@ const KernelTable kScalarTable = {
     scalar_gemm_nt,
     nullptr,  // no fused conv: the scalar path lowers through im2col
     scalar_gemm_s8,
+    nullptr,  // no fused int8 conv: quantize, im2col, then gemm_s8
 };
 
 }  // namespace pdnn::linalg::detail

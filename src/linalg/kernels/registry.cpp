@@ -120,4 +120,12 @@ bool conv3x3_fused(const Conv3x3Args& args) {
   return true;
 }
 
+bool conv3x3_s8_fused(const Conv3x3S8Args& args) {
+  const KernelTable& table = kernels();
+  if (table.conv3x3_s8 == nullptr) return false;
+  if (args.stride != 1 && args.stride != 2) return false;
+  table.conv3x3_s8(args);
+  return true;
+}
+
 }  // namespace pdnn::linalg

@@ -4,10 +4,11 @@
 // backends, selected once per process at first use:
 //
 //   * kScalar — portable C++ loops (the historical kernels); always present.
-//   * kAvx2   — AVX2 microkernels with B-panel packing and a fused 3x3 conv
-//               path; present when the binary was built with AVX2 support
-//               AND the CPU reports the avx2 feature bit (CPUID probe, in
-//               the spirit of PyTorch's ConvParams::use_* capability tests).
+//   * kAvx2   — AVX2 microkernels with B-panel packing and fused fp32 and
+//               int8 3x3 conv paths; present when the binary was built
+//               with AVX2 support AND the CPU reports the avx2 feature bit
+//               (CPUID probe, in the spirit of PyTorch's ConvParams::use_*
+//               capability tests).
 //
 // Selection order: force_backend() (the bench harnesses' --kernel flag) >
 // the PDNN_KERNEL environment variable > the capability probe. Forcing an
@@ -93,6 +94,28 @@ struct Conv3x3Args {
 
 using Conv3x3Fn = void (*)(const Conv3x3Args& args);
 
+/// One sample of a quantized 3x3, pad-1 convolution: the int8 counterpart of
+/// Conv3x3Args. The kernel quantizes each input pixel once with
+/// quantize_s8(x * inv_scale) (linalg/gemm.hpp) and writes the exact int32
+/// accumulators of weights * im2col(quantized src) — byte-identical to
+/// quantize, im2col, then gemm_s8. Dequantization stays with the caller.
+struct Conv3x3S8Args {
+  const float* src = nullptr;            ///< input sample, cin x h x w
+  float inv_scale = 1.0f;                ///< 1 / activation scale
+  const std::int8_t* weights = nullptr;  ///< kernel bank, cout x cin x 3 x 3
+  std::int32_t* dst = nullptr;           ///< accumulators, cout x ho x wo
+  int cin = 0;
+  int h = 0;
+  int w = 0;
+  int cout = 0;
+  int ho = 0;
+  int wo = 0;
+  int stride = 1;         ///< 1 or 2
+  bool replicate = true;  ///< replication padding; false = zero padding
+};
+
+using Conv3x3S8Fn = void (*)(const Conv3x3S8Args& args);
+
 /// C = A * B over quantized operands: A is m x k int8, B is k x n int8, C is
 /// m x n int32, all row-major; C is overwritten (beta = 0 semantics — the
 /// quantized conv path dequantizes into a fresh buffer, so nothing ever
@@ -107,8 +130,8 @@ using GemmS8Fn = void (*)(int m, int n, int k, const std::int8_t* a, int lda,
 
 /// A backend's kernel set. gemm_nt has no vectorized variant (its dot-product
 /// shape gains nothing from the contract-preserving ops), so both backends
-/// share the scalar implementation; conv3x3 is null when the backend has no
-/// fused path and callers must lower through im2col.
+/// share the scalar implementation; conv3x3 and conv3x3_s8 are null when the
+/// backend has no fused path and callers must lower through im2col.
 struct KernelTable {
   KernelBackend backend = KernelBackend::kScalar;
   GemmFn gemm_nn = nullptr;
@@ -116,6 +139,7 @@ struct KernelTable {
   GemmFn gemm_nt = nullptr;
   Conv3x3Fn conv3x3 = nullptr;
   GemmS8Fn gemm_s8 = nullptr;  ///< int8 x int8 -> int32 (quantized conv)
+  Conv3x3S8Fn conv3x3_s8 = nullptr;
 };
 
 /// The kernel table for active_backend().
@@ -125,5 +149,10 @@ const KernelTable& kernels();
 /// qualifies (pad 1 is implied; stride must be 1 or 2). Returns false when
 /// the caller must fall back to im2col + gemm.
 bool conv3x3_fused(const Conv3x3Args& args);
+
+/// The int8 counterpart of conv3x3_fused(): runs the fused quantized 3x3
+/// kernel when the active backend has one, else returns false and the caller
+/// lowers through quantize, im2col and gemm_s8.
+bool conv3x3_s8_fused(const Conv3x3S8Args& args);
 
 }  // namespace pdnn::linalg

@@ -20,15 +20,17 @@ namespace {
 ///   col[(c*kh+ki)*kw + kj][oh*wo + ow] = src[c][oh*s - p + ki][ow*s - p + kj]
 /// with the boundary handled per `mode`. The column grid (ho x wo) is passed
 /// in explicitly so the same routine serves conv forward and the transposed
-/// convolution's backward, where the grid is the *input* geometry.
-void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
-            int pad, PadMode mode, int ho, int wo, float* col) {
+/// convolution's backward, where the grid is the *input* geometry. T is
+/// float, or int8 for the quantized conv's already-quantized sample.
+template <typename T>
+void im2col(const T* src, int c, int h, int w, int kh, int kw, int stride,
+            int pad, PadMode mode, int ho, int wo, T* col) {
   const std::int64_t owo = static_cast<std::int64_t>(ho) * wo;
   for (int ch = 0; ch < c; ++ch) {
-    const float* plane = src + static_cast<std::int64_t>(ch) * h * w;
+    const T* plane = src + static_cast<std::int64_t>(ch) * h * w;
     for (int ki = 0; ki < kh; ++ki) {
       for (int kj = 0; kj < kw; ++kj) {
-        float* dst =
+        T* dst =
             col +
             (static_cast<std::int64_t>(ch) * kh * kw + ki * kw + kj) * owo;
         for (int oh = 0; oh < ho; ++oh) {
@@ -38,12 +40,12 @@ void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
             ih = std::clamp(ih, 0, h - 1);
             row_oob = false;
           }
-          float* out_row = dst + static_cast<std::int64_t>(oh) * wo;
+          T* out_row = dst + static_cast<std::int64_t>(oh) * wo;
           if (row_oob) {
-            std::fill(out_row, out_row + wo, 0.0f);
+            std::fill(out_row, out_row + wo, T{});
             continue;
           }
-          const float* in_row = plane + static_cast<std::int64_t>(ih) * w;
+          const T* in_row = plane + static_cast<std::int64_t>(ih) * w;
           for (int ow = 0; ow < wo; ++ow) {
             int iw = ow * stride - pad + kj;
             if (iw < 0 || iw >= w) {
@@ -51,7 +53,7 @@ void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
                 iw = std::clamp(iw, 0, w - 1);
                 out_row[ow] = in_row[iw];
               } else {
-                out_row[ow] = 0.0f;
+                out_row[ow] = T{};
               }
             } else {
               out_row[ow] = in_row[iw];
@@ -108,8 +110,9 @@ struct ConvScratch {
   ConvScratch();
   ~ConvScratch();
   std::vector<float> a, b;
-  std::vector<std::int8_t> q;     ///< quantized im2col columns
-  std::vector<std::int32_t> acc;  ///< int32 GEMM accumulators
+  std::vector<std::int8_t> qx;    ///< quantized input sample (fallback)
+  std::vector<std::int8_t> qcol;  ///< its int8 im2col columns (fallback)
+  std::vector<std::int32_t> acc;  ///< int32 conv accumulators
 };
 
 std::mutex& scratch_mu() {
@@ -145,9 +148,10 @@ std::vector<float>& scratch_b() { return scratch().b; }
 /// High-water mark of im2col scratch, in bytes. The buffer size depends only
 /// on layer geometry (never on the thread count), so the gauge is
 /// deterministic even though each worker reports its own buffer.
-inline void note_im2col_bytes(const std::vector<float>& col) {
+template <typename T>
+inline void note_im2col_bytes(const std::vector<T>& col) {
   obs::counter_max(obs::Counter::kConvIm2colBytesMax,
-                   static_cast<std::int64_t>(col.size() * sizeof(float)));
+                   static_cast<std::int64_t>(col.size() * sizeof(T)));
 }
 
 }  // namespace
@@ -159,8 +163,10 @@ void release_conv_scratch() {
     s->a.shrink_to_fit();
     s->b.clear();
     s->b.shrink_to_fit();
-    s->q.clear();
-    s->q.shrink_to_fit();
+    s->qx.clear();
+    s->qx.shrink_to_fit();
+    s->qcol.clear();
+    s->qcol.shrink_to_fit();
     s->acc.clear();
     s->acc.shrink_to_fit();
   }
@@ -466,6 +472,11 @@ Var quantized_conv2d(const Var& x, const ParamQuant& quant, const Var& w,
             "shape");
   PDN_CHECK(quant.weight_scale > 0.0f && quant.act_scale > 0.0f,
             "quantized_conv2d: non-positive quantization scale");
+  // A finite 1 / act_scale keeps q(0) = 0, so the zero halo of either
+  // lowering is the value the activation 0 quantizes to.
+  const float inv_act = 1.0f / quant.act_scale;
+  PDN_CHECK(std::isfinite(inv_act),
+            "quantized_conv2d: activation scale too small to invert");
 
   const int n = xv.n(), cin = xv.c(), h = xv.h(), wd = xv.w();
   const int cout = wv.n(), kh = wv.h(), kw = wv.w();
@@ -474,38 +485,55 @@ Var quantized_conv2d(const Var& x, const ParamQuant& quant, const Var& w,
   PDN_CHECK(ho > 0 && wo > 0, "quantized_conv2d: output collapses to zero");
 
   const int ckk = cin * kh * kw;
+  const std::int64_t chw = static_cast<std::int64_t>(cin) * h * wd;
   const std::int64_t owo = static_cast<std::int64_t>(ho) * wo;
   Tensor out({n, cout, ho, wo});
 
-  // Same per-sample fan-out as the fp32 path. Each sample: fp32 im2col,
-  // elementwise static quantization of the columns, one exact int8 GEMM,
-  // fp32 dequantize + bias. Nothing below depends on the thread partition
-  // or the kernel backend — integer accumulation is associative — so the
-  // output bytes are identical at any thread count and batch width.
-  const float inv_act = 1.0f / quant.act_scale;
+  // Same per-sample fan-out as the fp32 path. Each sample quantizes every
+  // input pixel once with the calibrated static act_scale, accumulates the
+  // exact int8 x int8 products in int32, then dequantizes + adds bias in
+  // fp32. 3x3 / pad-1 layers take the registry's fused kernel, which packs
+  // the quantized sample into padded planes; otherwise the sample lowers
+  // through an int8 im2col and gemm_s8. Integer accumulation is exact in any
+  // order, so both lowerings — and every thread count, batch width and
+  // kernel backend — produce the same bytes.
   const float dequant = quant.weight_scale * quant.act_scale;
+  const bool fusable = kh == 3 && kw == 3 && pad == 1;
   obs::TraceSpan fwd_span("conv2d.forward_s8", "batch", n);
   util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
     ConvScratch& s = scratch();
+    s.acc.resize(static_cast<std::size_t>(cout) * owo);
     for (std::int64_t bidx = b0; bidx < b1; ++bidx) {
-      const float* src = xv.data() + bidx * cin * h * wd;
+      const float* src = xv.data() + bidx * chw;
       float* dst = out.data() + bidx * cout * owo;
-      s.a.resize(static_cast<std::size_t>(ckk) * owo);
-      s.q.resize(static_cast<std::size_t>(ckk) * owo);
-      s.acc.resize(static_cast<std::size_t>(cout) * owo);
-      note_im2col_bytes(s.a);
-      im2col(src, cin, h, wd, kh, kw, stride, pad, mode, ho, wo, s.a.data());
-      const std::int64_t cols = static_cast<std::int64_t>(ckk) * owo;
-      for (std::int64_t i = 0; i < cols; ++i) {
-        // Saturating symmetric quantization against the calibrated static
-        // range; activations beyond it clamp (standard static PTQ).
-        const long r = std::lrintf(s.a[i] * inv_act);
-        s.q[i] = static_cast<std::int8_t>(
-            std::clamp<long>(r, -127, 127));
+      bool fused = false;
+      if (fusable) {
+        linalg::Conv3x3S8Args fargs;
+        fargs.src = src;
+        fargs.inv_scale = inv_act;
+        fargs.weights = quant.q.data();
+        fargs.dst = s.acc.data();
+        fargs.cin = cin;
+        fargs.h = h;
+        fargs.w = wd;
+        fargs.cout = cout;
+        fargs.ho = ho;
+        fargs.wo = wo;
+        fargs.stride = stride;
+        fargs.replicate = mode == PadMode::kReplicate;
+        fused = linalg::conv3x3_s8_fused(fargs);
       }
-      linalg::gemm_s8(cout, static_cast<int>(owo), ckk, quant.q.data(), ckk,
-                      s.q.data(), static_cast<int>(owo), s.acc.data(),
-                      static_cast<int>(owo));
+      if (!fused) {
+        s.qx.resize(static_cast<std::size_t>(chw));
+        s.qcol.resize(static_cast<std::size_t>(ckk) * owo);
+        note_im2col_bytes(s.qcol);
+        linalg::quantize_s8(src, chw, inv_act, s.qx.data());
+        im2col(s.qx.data(), cin, h, wd, kh, kw, stride, pad, mode, ho, wo,
+               s.qcol.data());
+        linalg::gemm_s8(cout, static_cast<int>(owo), ckk, quant.q.data(), ckk,
+                        s.qcol.data(), static_cast<int>(owo), s.acc.data(),
+                        static_cast<int>(owo));
+      }
       for (int co = 0; co < cout; ++co) {
         const float bias = bv.data()[co];
         const std::int32_t* arow =

@@ -5,7 +5,7 @@
 //
 //   * ParamQuant — symmetric per-tensor int8 state a v2 artifact attaches to
 //     a conv weight Parameter. When present, Conv2d::forward routes through
-//     the int8 GEMM (quantized_conv2d below) instead of the fp32 lowering.
+//     the int8 conv (quantized_conv2d below) instead of the fp32 lowering.
 //   * The activation observer — a process-global callback the calibrator
 //     installs while streaming the training set; Conv2d::forward reports
 //     each layer's input absmax (keyed by the weight parameter's dotted
@@ -60,12 +60,18 @@ void observe_activation(const std::string& param_name, const Tensor& x);
 
 }  // namespace detail
 
-/// Quantized conv2d forward: im2col in fp32, columns quantized with the
-/// calibrated static act_scale, int8 x int8 -> int32 GEMM via the kernel
-/// registry, fp32 dequantize + bias. Inference-only — it must run under a
-/// NoGradGuard (a quantized model cannot produce gradients) and returns a
-/// leaf Var. Bit-deterministic at any thread count, batch width, and kernel
-/// backend: quantization is elementwise and the integer GEMM is exact.
+/// Quantized conv2d forward. Each input pixel is quantized once against the
+/// calibrated static act_scale (linalg::quantize_s8: clamp to ±127 in float,
+/// round half to even); int8 x int8 products accumulate exactly in int32;
+/// the sums are dequantized as acc * (weight_scale * act_scale) + bias.
+/// 3x3 / pad-1 layers run the kernel registry's fused conv3x3_s8, which
+/// quantizes straight into padded int16 planes; other shapes, and backends
+/// without that kernel, lower through an int8 im2col and gemm_s8.
+/// Inference-only — it must run under a NoGradGuard (a quantized model
+/// cannot produce gradients) and returns a leaf Var. Requires a finite
+/// 1 / act_scale. Bit-deterministic at any thread count, batch width, and
+/// kernel backend: quantization is elementwise and integer accumulation is
+/// exact, so both lowerings produce the same bytes.
 Var quantized_conv2d(const Var& x, const ParamQuant& quant, const Var& w,
                      const Var& b, int stride, int pad, PadMode mode);
 

@@ -1,7 +1,8 @@
 #include "quant/quantize.hpp"
 
-#include <algorithm>
 #include <cmath>
+
+#include "linalg/gemm.hpp"
 
 namespace pdnn::quant {
 
@@ -21,11 +22,7 @@ float symmetric_scale(float absmax_value) {
 
 void quantize(const float* data, std::int64_t n, float scale,
               std::int8_t* out) {
-  const float inv = 1.0f / scale;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const long r = std::lrintf(data[i] * inv);
-    out[i] = static_cast<std::int8_t>(std::clamp<long>(r, -127, 127));
-  }
+  linalg::quantize_s8(data, n, 1.0f / scale, out);
 }
 
 void dequantize(const std::int8_t* q, std::int64_t n, float scale,

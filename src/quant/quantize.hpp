@@ -23,8 +23,9 @@ float absmax(const float* data, std::int64_t n);
 /// instead of NaN scales.
 float symmetric_scale(float absmax_value);
 
-/// Quantize n values with the given scale: clamp(round(x / scale), ±127).
-/// Deterministic (scalar lrintf, round-to-nearest-even).
+/// Quantize n values with the given scale: linalg::quantize_s8(x / scale),
+/// computed as x * (1 / scale) — clamp to ±127 in float, then round half to
+/// even; +inf saturates to +127, -inf and NaN to -127.
 void quantize(const float* data, std::int64_t n, float scale,
               std::int8_t* out);
 

@@ -3,10 +3,12 @@
 // bit-identical weights from a "PDNT" checkpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/dataset.hpp"
@@ -277,11 +279,21 @@ TEST(Pipeline, InferenceIsFasterThanGoldenSim) {
   vectors::TestVectorGenerator gen(f.grid, params, 321);
   const auto trace = gen.generate();
 
+  // Min-of-k on both sides: the fastest of several runs is each side's cost
+  // with the least interference, so a preempted sample cannot decide the
+  // comparison. The test is also registered RUN_SERIAL (tests/CMakeLists.txt)
+  // so ctest -j never times it next to another test.
+  constexpr int kRuns = 5;
   core::PredictionTiming timing;
   pipeline.predict(trace, &timing);  // warm-up
-  pipeline.predict(trace, &timing);
-  const auto golden = f.simulator.simulate(trace);
-  EXPECT_LT(timing.total_seconds, golden.solve_seconds * 5.0)
+  double infer_s = std::numeric_limits<double>::infinity();
+  double golden_s = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < kRuns; ++k) {
+    pipeline.predict(trace, &timing);
+    infer_s = std::min(infer_s, timing.total_seconds);
+    golden_s = std::min(golden_s, f.simulator.simulate(trace).solve_seconds);
+  }
+  EXPECT_LT(infer_s, golden_s * 5.0)
       << "inference should be at least comparable on a tiny design";
 }
 

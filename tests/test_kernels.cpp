@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "linalg/gemm.hpp"
@@ -16,6 +17,7 @@
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/quant_state.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -139,6 +141,16 @@ TEST(Kernels, ScalarTableHasNoFusedConvPath) {
   args.cout = 1;
   args.stride = 1;
   EXPECT_FALSE(linalg::conv3x3_fused(args));
+}
+
+TEST(Kernels, ScalarTableHasNoFusedS8ConvPath) {
+  ForcedBackend forced(KernelBackend::kScalar);
+  linalg::Conv3x3S8Args args;  // null pointers: must not be touched
+  args.cin = 1;
+  args.h = args.w = args.ho = args.wo = 4;
+  args.cout = 1;
+  args.stride = 1;
+  EXPECT_FALSE(linalg::conv3x3_s8_fused(args));
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +446,159 @@ TEST(Kernels, ConvForwardNanBitIdenticalAcrossBackends) {
   const auto scalar = run_conv(cc, KernelBackend::kScalar, 1, std::nanf(""));
   const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 1, std::nanf(""));
   EXPECT_TRUE(bitwise_equal(scalar, avx2));
+}
+
+// ---------------------------------------------------------------------------
+// Fused int8 3x3 conv vs the quantize + im2col + gemm_s8 fallback
+// ---------------------------------------------------------------------------
+
+struct S8ConvCase {
+  int cin, cout, h, w, stride;
+  nn::PadMode mode;
+};
+
+std::string describe(const S8ConvCase& cc) {
+  return std::to_string(cc.cin) + "->" + std::to_string(cc.cout) + " " +
+         std::to_string(cc.h) + "x" + std::to_string(cc.w) + " stride " +
+         std::to_string(cc.stride) +
+         (cc.mode == nn::PadMode::kZero ? " zero" : " replicate");
+}
+
+/// nn::quantized_conv2d under a forced backend: the scalar table lowers
+/// through quantize + int8 im2col + gemm_s8, AVX2 runs the fused kernel. The
+/// activation scale puts about 5% of the normal inputs past ±127, so the
+/// clamp is exercised too.
+std::vector<float> run_conv_s8(const S8ConvCase& cc, KernelBackend backend,
+                               int batch) {
+  ForcedBackend forced(backend);
+  nn::ParamQuant pq;
+  pq.q = random_s8(static_cast<std::size_t>(cc.cout) * cc.cin * 9, 71);
+  pq.weight_scale = 0.013f;
+  pq.act_scale = 1.0f / 64.0f;
+  const Tensor w({cc.cout, cc.cin, 3, 3});  // shape carrier only
+  const std::vector<float> bias =
+      random_vec(static_cast<std::size_t>(cc.cout), 73);
+  Tensor b({cc.cout});
+  std::copy(bias.begin(), bias.end(), b.data());
+  Tensor x({batch, cc.cin, cc.h, cc.w});
+  const std::vector<float> xs =
+      random_vec(static_cast<std::size_t>(x.numel()), 79);
+  std::copy(xs.begin(), xs.end(), x.data());
+  nn::NoGradGuard guard;
+  const Var y =
+      nn::quantized_conv2d(Var(x), pq, Var(w), Var(b), cc.stride, 1, cc.mode);
+  return std::vector<float>(y.value().data(),
+                            y.value().data() + y.value().numel());
+}
+
+TEST(Kernels, ConvS8FusedMatchesFallbackEveryTail) {
+  SKIP_WITHOUT_AVX2();
+  // Every h and w in 1..33: each 16- and 8-column vector tail, both row
+  // halos, and planes smaller than the kernel. cin = 3 pairs one channel
+  // with the zero partner; cout = 5 covers a 4-channel block plus one.
+  for (const int stride : {1, 2}) {
+    for (const nn::PadMode mode :
+         {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
+      for (int h = 1; h <= 33; ++h) {
+        for (int w = 1; w <= 33; ++w) {
+          const S8ConvCase cc = {3, 5, h, w, stride, mode};
+          const auto scalar = run_conv_s8(cc, KernelBackend::kScalar, 1);
+          const auto avx2 = run_conv_s8(cc, KernelBackend::kAvx2, 1);
+          ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ConvS8FusedMatchesFallbackEveryChannelCount) {
+  SKIP_WITHOUT_AVX2();
+  // The paper net's channel counts: cin = 1 (enc1), 2, 8, 16 and the
+  // concatenated 32 of up*_conv; cout = 1 is dec2 / out_conv.
+  const int sizes[][2] = {{7, 9}, {28, 20}, {33, 33}};
+  for (const int cin : {1, 2, 8, 16, 32}) {
+    for (const int cout : {1, 8, 16}) {
+      for (const auto& hw : sizes) {
+        for (const int stride : {1, 2}) {
+          for (const nn::PadMode mode :
+               {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
+            const S8ConvCase cc = {cin, cout, hw[0], hw[1], stride, mode};
+            const auto scalar = run_conv_s8(cc, KernelBackend::kScalar, 2);
+            const auto avx2 = run_conv_s8(cc, KernelBackend::kAvx2, 2);
+            ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ConvS8BitStableAcrossThreadCounts) {
+  const S8ConvCase cases[] = {{16, 8, 28, 20, 2, nn::PadMode::kReplicate},
+                              {8, 1, 28, 20, 1, nn::PadMode::kZero}};
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (!linalg::backend_supported(backend)) continue;
+    for (const S8ConvCase& cc : cases) {
+      util::ThreadPool::set_global_threads(1);
+      const auto one = run_conv_s8(cc, backend, 6);
+      util::ThreadPool::set_global_threads(4);
+      const auto four = run_conv_s8(cc, backend, 6);
+      util::ThreadPool::set_global_threads(0);
+      EXPECT_TRUE(bitwise_equal(one, four))
+          << linalg::backend_name(backend) << " " << describe(cc);
+    }
+  }
+}
+
+TEST(Kernels, ConvS8FusedSaturatedAccumulatorsExact) {
+  SKIP_WITHOUT_AVX2();
+  // All taps at ±127 with cin = 32: every accumulator is the largest the
+  // paper net can produce, ±32 * 9 * 127 * 127, and must come out exact in
+  // int32 (no int16 pair saturation, no wrap). Even input channels saturate
+  // to +127, odd ones to -127, and each weight carries the sign that makes
+  // every product of an output channel the same; replicate padding keeps the
+  // uniform planes uniform in the halo.
+  const int cin = 32, cout = 16, h = 11, w = 19;
+  std::vector<float> src(static_cast<std::size_t>(cin) * h * w);
+  for (int c = 0; c < cin; ++c) {
+    std::fill(src.begin() + static_cast<std::ptrdiff_t>(c) * h * w,
+              src.begin() + static_cast<std::ptrdiff_t>(c + 1) * h * w,
+              c % 2 == 0 ? 1.0e6f : -1.0e6f);
+  }
+  std::vector<std::int8_t> weights(static_cast<std::size_t>(cout) * cin * 9);
+  for (int co = 0; co < cout; ++co) {
+    for (int c = 0; c < cin; ++c) {
+      const int sign = (co % 2 == 0) == (c % 2 == 0) ? 1 : -1;
+      std::fill_n(
+          weights.begin() + (static_cast<std::ptrdiff_t>(co) * cin + c) * 9, 9,
+          static_cast<std::int8_t>(127 * sign));
+    }
+  }
+  std::vector<std::int32_t> dst(static_cast<std::size_t>(cout) * h * w, 0);
+  linalg::Conv3x3S8Args args;
+  args.src = src.data();
+  args.inv_scale = 1.0f;
+  args.weights = weights.data();
+  args.dst = dst.data();
+  args.cin = cin;
+  args.h = h;
+  args.w = w;
+  args.cout = cout;
+  args.ho = h;
+  args.wo = w;
+  args.stride = 1;
+  args.replicate = true;
+  ForcedBackend forced(KernelBackend::kAvx2);
+  ASSERT_TRUE(linalg::conv3x3_s8_fused(args));
+  const std::int32_t peak = cin * 9 * 127 * 127;
+  for (int co = 0; co < cout; ++co) {
+    const std::int32_t want = co % 2 == 0 ? peak : -peak;
+    for (int i = 0; i < h * w; ++i) {
+      ASSERT_EQ(want, dst[static_cast<std::size_t>(co) * h * w + i])
+          << "co " << co << " pixel " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

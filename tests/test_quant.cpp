@@ -159,6 +159,58 @@ TEST(QuantQuantize, QuantizeMapsExtremesAndClamps) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_NEAR(values[i], back[i], scale * 0.5f + 1e-6f);
   }
+
+  // Non-finite and out-of-range inputs saturate on the correct side (a
+  // plain lrintf maps +inf and 1e19 to LONG_MIN, i.e. -127), and the rule
+  // clamps in float before rounding half to even.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> edges = {kInf, -kInf, 1e19f, -1e19f,
+                                    std::nanf(""), 126.5f, 127.5f, -0.5f,
+                                    0.5f, 1.5f, -126.5f, -127.5f, -0.0f};
+  const std::vector<int> want = {127, -127, 127, -127, -127, 126, 127, 0,
+                                 0, 2, -126, -127, 0};
+  std::vector<std::int8_t> qe(edges.size());
+  quant::quantize(edges.data(), static_cast<std::int64_t>(edges.size()), 1.0f,
+                  qe.data());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(want[i], qe[i]) << "quantize(" << edges[i] << ")";
+  }
+
+  // The AVX2 fused conv packs its planes with the same rule. A single-channel
+  // identity kernel (centre tap 1) returns each pixel's quantized value as
+  // its accumulator; two copies of the list put every value in a vector lane
+  // and in the scalar tail.
+  if (!linalg::backend_supported(linalg::KernelBackend::kAvx2)) return;
+  std::vector<float> row(edges);
+  row.insert(row.end(), edges.begin(), edges.end());
+  row.insert(row.end(), edges.begin(), edges.begin() + 3);
+  const int w = static_cast<int>(row.size());
+  std::int8_t identity[9] = {0, 0, 0, 0, 1, 0, 0, 0, 0};
+  std::vector<std::int32_t> acc(row.size(), 0);
+  linalg::Conv3x3S8Args args;
+  args.src = row.data();
+  args.inv_scale = 1.0f;
+  args.weights = identity;
+  args.dst = acc.data();
+  args.cin = 1;
+  args.h = 1;
+  args.w = w;
+  args.cout = 1;
+  args.ho = 1;
+  args.wo = w;
+  args.stride = 1;
+  args.replicate = false;
+  linalg::force_backend(linalg::KernelBackend::kAvx2);
+  const bool fused = linalg::conv3x3_s8_fused(args);
+  linalg::clear_forced_backend();
+  ASSERT_TRUE(fused);
+  std::vector<std::int8_t> qrow(row.size());
+  quant::quantize(row.data(), w, 1.0f, qrow.data());
+  for (int i = 0; i < w; ++i) {
+    EXPECT_EQ(static_cast<std::int32_t>(qrow[static_cast<std::size_t>(i)]),
+              acc[static_cast<std::size_t>(i)])
+        << "AVX2 pack of " << row[static_cast<std::size_t>(i)];
+  }
 }
 
 TEST(QuantQuantize, QuantizeTensorOfZerosIsIdentitySafe) {
