@@ -246,15 +246,14 @@ BENCHMARK(BM_GemmBackend)
     ->Args({0, 512, 512, 512})
     ->Args({1, 512, 512, 512});
 
-void BM_ConvBackend(benchmark::State& state) {
-  const auto backend = static_cast<linalg::KernelBackend>(state.range(0));
-  const int stride = static_cast<int>(state.range(1));
+/// One forced-backend conv2d forward (3x3, pad 1, replicate) of a single
+/// cin x hw x hw sample per iteration.
+void run_conv_backend(benchmark::State& state, linalg::KernelBackend backend,
+                      int stride, int cin, int cout, int hw) {
   if (!force_backend_or_skip(state, backend)) return;
-  constexpr int kHw = 64;
-  const int cout = stride == 1 ? 8 : 16;  // the paper net's layer widths
   util::Rng rng(3);
-  nn::Conv2d conv(8, cout, 3, stride, 1, nn::PadMode::kReplicate, rng);
-  nn::Tensor x({1, 8, kHw, kHw});
+  nn::Conv2d conv(cin, cout, 3, stride, 1, nn::PadMode::kReplicate, rng);
+  nn::Tensor x({1, cin, hw, hw});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x.data()[i] = static_cast<float>(rng.uniform());
   }
@@ -268,8 +267,8 @@ void BM_ConvBackend(benchmark::State& state) {
   }
   const obs::CounterSnapshot after = obs::snapshot_counters();
   obs::set_enabled(was_enabled);
-  const int ohw = kHw / stride;
-  const double flops = 2.0 * ohw * ohw * cout * 8 * 9;
+  const int ohw = (hw - 1) / stride + 1;
+  const double flops = 2.0 * ohw * ohw * cout * cin * 9;
   state.counters["MFLOPS"] = benchmark::Counter(
       flops * 1e-6, benchmark::Counter::kIsIterationInvariantRate);
   state.counters["fused_calls"] =
@@ -282,16 +281,36 @@ void BM_ConvBackend(benchmark::State& state) {
       static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(flops));
-  state.SetLabel(std::string(linalg::backend_name(backend)) + ", 8->" +
-                 std::to_string(cout) + " s" + std::to_string(stride) + ", " +
-                 std::to_string(kHw) + "x" + std::to_string(kHw));
+  state.SetLabel(std::string(linalg::backend_name(backend)) + ", " +
+                 std::to_string(cin) + "->" + std::to_string(cout) + " s" +
+                 std::to_string(stride) + ", " + std::to_string(hw) + "x" +
+                 std::to_string(hw));
   linalg::clear_forced_backend();
+}
+
+void BM_ConvBackend(benchmark::State& state) {
+  const int stride = static_cast<int>(state.range(1));
+  const int cout = stride == 1 ? 8 : 16;  // the paper net's layer widths
+  run_conv_backend(state, static_cast<linalg::KernelBackend>(state.range(0)),
+                   stride, 8, cout, 64);
 }
 BENCHMARK(BM_ConvBackend)
     ->Args({0, 1})
     ->Args({1, 1})
     ->Args({0, 2})
     ->Args({1, 2});
+
+// The prediction subnet's 16 -> 16 convs at the small designs' widths, where
+// no output row is a multiple of 8 columns: D2's 28 -> 14 -> 7 pyramid and
+// D1's 20. Arguments: backend, stride, input width.
+void BM_ConvBackendNarrow(benchmark::State& state) {
+  run_conv_backend(state, static_cast<linalg::KernelBackend>(state.range(0)),
+                   static_cast<int>(state.range(1)), 16, 16,
+                   static_cast<int>(state.range(2)));
+}
+BENCHMARK(BM_ConvBackendNarrow)
+    ->ArgsProduct({{0, 1}, {1}, {28, 20, 14, 7}})
+    ->ArgsProduct({{0, 1}, {2}, {28, 14}});
 
 void BM_Conv2dBatchThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <string>
 
 #include "nn/serialize.hpp"
 #include "quant/serialize.hpp"
@@ -18,6 +19,24 @@ using store::write_field;
 constexpr char kMagic[5] = "PDNB";
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kVersionQuant = 2;
+
+// Upper bounds on the header's model dimensions. They sit far above the
+// paper's largest design (D4: 180 x 180 tiles and about 2k bumps at paper
+// scale, 8/8/16 kernels) yet keep every model a valid header can describe
+// under 0.4 GB of weights, so an inflated field fails with its name instead
+// of as std::bad_alloc inside the model constructor.
+constexpr std::int32_t kMaxDistanceChannels = 8192;
+constexpr std::int32_t kMaxTileDim = 4096;
+constexpr std::int32_t kMaxKernels = 512;
+
+/// Reject a model dimension outside [1, max], naming the field.
+void check_dim(std::int32_t value, std::int32_t max, const char* field,
+               const std::string& path) {
+  PDN_CHECK(value > 0 && value <= max,
+            "load_artifact: model dimension " + std::to_string(value) +
+                " outside [1, " + std::to_string(max) + "] in " + path +
+                " (field '" + field + "')");
+}
 
 /// Header reader shared by peek_artifact and load_artifact; leaves the
 /// stream positioned at the weight block.
@@ -52,12 +71,14 @@ ModelArtifact read_header(std::istream& in, const std::string& path) {
     art.dtype = static_cast<quant::ParamDtype>(dtype);
   }
 
-  PDN_CHECK(art.config.distance_channels > 0 && art.config.tile_rows > 0 &&
-                art.config.tile_cols > 0 && art.config.c1 > 0 &&
-                art.config.c2 > 0 && art.config.c3 > 0,
-            "load_artifact: non-positive model dimension in " + path +
-                " (fields 'distance_channels'/'tile_rows'/'tile_cols'/"
-                "'c1'/'c2'/'c3')");
+  const ModelConfig& c = art.config;
+  check_dim(c.distance_channels, kMaxDistanceChannels, "distance_channels",
+            path);
+  check_dim(c.tile_rows, kMaxTileDim, "tile_rows", path);
+  check_dim(c.tile_cols, kMaxTileDim, "tile_cols", path);
+  check_dim(c.c1, kMaxKernels, "c1", path);
+  check_dim(c.c2, kMaxKernels, "c2", path);
+  check_dim(c.c3, kMaxKernels, "c3", path);
   return art;
 }
 

@@ -9,9 +9,11 @@
 // the scalar loops perform — and this translation unit is compiled with
 // -ffp-contract=off so the compiler cannot fuse the pair into an FMA. The
 // speedup comes from keeping C tiles in ymm accumulators (the scalar kernel
-// streams every C row through memory once per k step), from packed
-// contiguous B panels, and — for conv — from skipping the 9x im2col
-// materialization entirely; never from reassociating the sum.
+// streams every C row through memory once per k step) and from packed
+// contiguous B panels. The fused conv adds three more: it skips the 9x
+// im2col materialization, its 4-channel register tile loads each tap's
+// input once for four output channels, and masked stores finish column
+// tails in vector code. None of it comes from reassociating the sum.
 #include "linalg/kernels/kernel_common.hpp"
 #include "linalg/kernels/registry.hpp"
 
@@ -296,157 +298,6 @@ void avx2_gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
 }
 
 // ---------------------------------------------------------------------------
-// Fused 3x3 convolution (pad 1, stride 1 or 2)
-// ---------------------------------------------------------------------------
-
-/// Padded input planes: each channel is staged once as (h + 2) rows of
-/// kPadSlack-extended width with the pad-1 halo materialized (replicated
-/// edge pixels or zeros — the exact values im2col would produce), so the
-/// compute loops need no bounds handling and vector loads may safely touch
-/// the zeroed slack lanes the deinterleave discards.
-constexpr int kPadSlack = 8;
-
-std::vector<float>& conv_scratch() {
-  thread_local std::vector<float> buffer;
-  return buffer;
-}
-
-void pack_padded_planes(const Conv3x3Args& args, float* pad, int wp) {
-  const int h = args.h, w = args.w;
-  for (int ch = 0; ch < args.cin; ++ch) {
-    const float* plane =
-        args.src + static_cast<std::ptrdiff_t>(ch) * h * w;
-    float* dst = pad + static_cast<std::ptrdiff_t>(ch) * (h + 2) * wp;
-    for (int r = -1; r <= h; ++r) {
-      float* out = dst + static_cast<std::ptrdiff_t>(r + 1) * wp;
-      const bool oob = r < 0 || r >= h;
-      if (oob && !args.replicate) {
-        for (int j = 0; j < wp; ++j) out[j] = 0.0f;
-        continue;
-      }
-      const int ir = oob ? (r < 0 ? 0 : h - 1) : r;
-      const float* in = plane + static_cast<std::ptrdiff_t>(ir) * w;
-      out[0] = args.replicate ? in[0] : 0.0f;
-      for (int j = 0; j < w; ++j) out[j + 1] = in[j];
-      out[w + 1] = args.replicate ? in[w - 1] : 0.0f;
-      for (int j = w + 2; j < wp; ++j) out[j] = 0.0f;
-    }
-  }
-}
-
-/// Load 8 outputs' worth of input pixels for one tap: contiguous for stride
-/// 1; every other element (deinterleaved from 16 lanes) for stride 2.
-template <int kStride>
-__m256 load_taps(const float* q) {
-  if constexpr (kStride == 1) {
-    return _mm256_loadu_ps(q);
-  } else {
-    const __m256 v0 = _mm256_loadu_ps(q);
-    const __m256 v1 = _mm256_loadu_ps(q + 8);
-    const __m256 t = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-    return _mm256_permutevar8x32_ps(
-        t, _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7));
-  }
-}
-
-/// One output row for one output channel. Taps accumulate in ascending
-/// (channel, ki, kj) order — the im2col column order — so every output
-/// element's operation sequence matches the lowered gemm_nn bit for bit.
-template <int kStride>
-void conv_row(const Conv3x3Args& args, const float* pad, int wp,
-              const float* wco, int oh, float* out) {
-  const int wo = args.wo;
-  const std::ptrdiff_t plane_stride =
-      static_cast<std::ptrdiff_t>(args.h + 2) * wp;
-  int ow = 0;
-  for (; ow + 32 <= wo; ow += 32) {
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          const __m256 t = _mm256_set1_ps(*wtap++);
-          const float* q = row + ow * kStride + kj;
-          a0 = _mm256_add_ps(a0, _mm256_mul_ps(t, load_taps<kStride>(q)));
-          a1 = _mm256_add_ps(
-              a1, _mm256_mul_ps(t, load_taps<kStride>(q + 8 * kStride)));
-          a2 = _mm256_add_ps(
-              a2, _mm256_mul_ps(t, load_taps<kStride>(q + 16 * kStride)));
-          a3 = _mm256_add_ps(
-              a3, _mm256_mul_ps(t, load_taps<kStride>(q + 24 * kStride)));
-        }
-      }
-    }
-    _mm256_storeu_ps(out + ow + 0, a0);
-    _mm256_storeu_ps(out + ow + 8, a1);
-    _mm256_storeu_ps(out + ow + 16, a2);
-    _mm256_storeu_ps(out + ow + 24, a3);
-  }
-  for (; ow + 8 <= wo; ow += 8) {
-    __m256 a0 = _mm256_setzero_ps();
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          const __m256 t = _mm256_set1_ps(*wtap++);
-          const __m256 in = load_taps<kStride>(row + ow * kStride + kj);
-          a0 = _mm256_add_ps(a0, _mm256_mul_ps(t, in));
-        }
-      }
-    }
-    _mm256_storeu_ps(out + ow, a0);
-  }
-  for (; ow < wo; ++ow) {
-    float accv = 0.0f;
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          accv += *wtap++ * row[ow * kStride + kj];
-        }
-      }
-    }
-    out[ow] = accv;
-  }
-}
-
-void avx2_conv3x3(const Conv3x3Args& args) {
-  obs::counter_add(obs::Counter::kConvFusedCalls, 1);
-  const int wp = args.w + 2 + kPadSlack;
-  std::vector<float>& pad = conv_scratch();
-  pad.resize(static_cast<std::size_t>(args.cin) * (args.h + 2) * wp);
-  pack_padded_planes(args, pad.data(), wp);
-  obs::counter_add(
-      obs::Counter::kKernelPackedBytes,
-      static_cast<std::int64_t>(pad.size() * sizeof(float)));
-
-  for (int co = 0; co < args.cout; ++co) {
-    const float* wco = args.weights + static_cast<std::ptrdiff_t>(co) *
-                                          args.cin * 9;
-    float* out_plane =
-        args.dst + static_cast<std::ptrdiff_t>(co) * args.ho * args.wo;
-    for (int oh = 0; oh < args.ho; ++oh) {
-      float* out = out_plane + static_cast<std::ptrdiff_t>(oh) * args.wo;
-      if (args.stride == 1) {
-        conv_row<1>(args, pad.data(), wp, wco, oh, out);
-      } else {
-        conv_row<2>(args, pad.data(), wp, wco, oh, out);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Int8 GEMM: C (int32) = A (int8, m x k) * B (int8, k x n).
 //
 // The microkernel consumes k in sign-extended int16 *pairs*: two B rows are
@@ -533,41 +384,270 @@ void avx2_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
 }
 
 // ---------------------------------------------------------------------------
-// Fused int8 3x3 convolution (pad 1, stride 1 or 2)
+// Fused 3x3 convolution, fp32 and int8 (pad 1, stride 1 or 2)
 //
-// The pack quantizes every input pixel exactly once, straight from the fp32
-// sample into padded int16 planes, two input channels interleaved per 32-bit
-// word: word = [q(c) | q(c + 1) << 16]. One unaligned load then holds eight
+// Both dtypes share one plane layout, one register tile and one driver. The
+// input is staged once as padded planes of (h + 2) rows with the pad-1 halo
+// built in (replicated edge values or zeros: what im2col would produce), so
+// the compute loops need no bounds handling. Stride-2 rows are stored
+// phase-split (even padded columns, then odd ones), so output column ow reads
+// tap kj contiguously at even[ow], odd[ow] and even[ow + 1]: every tap of
+// either stride is one unaligned vector load.
+//
+// The register tile is kCo output channels x kNv 8-column vectors of one
+// output row. Each tap's kNv input vectors are loaded once and multiplied by
+// kCo broadcast weights. Column tails compute a full vector over the zeroed
+// slack and store only the valid lanes with a masked store.
+//
+// fp32: one plane per input channel. Each output element sums its 9 * cin
+// taps in ascending (ch, ki, kj) order, the im2col row order, each as
+// _mm256_mul_ps then _mm256_add_ps, so the result is bit-identical to
+// im2col + gemm_nn.
+//
+// int8: the pack quantizes every input pixel exactly once, straight from the
+// fp32 sample into padded int16 planes, two input channels interleaved per
+// 32-bit word: word = [q(c) | q(c + 1) << 16]. One load then holds eight
 // output columns' (c, c + 1) tap pairs in the vpmaddwd layout, and the
 // matching weight pair is one broadcast word, so each vpmaddwd retires two
 // taps of eight outputs into int32 accumulators. An odd last channel pairs
 // with a zero plane and zero weights, which adds exact zeros. The halo is
 // built from quantized values: q(0) = 0 for zero padding (the caller
-// guarantees a finite 1 / scale), and a replicated edge holds q(edge) — the
+// guarantees a finite 1 / scale), and a replicated edge holds q(edge), the
 // same int8 value im2col of the quantized sample produces at every tap.
-//
-// Stride-2 rows are stored phase-split (even padded columns, then odd ones),
-// so output column ow reads tap kj contiguously at even[ow], odd[ow] and
-// even[ow + 1]. Tail column blocks compute a full vector over zeroed slack
-// and store only the valid lanes.
-//
 // Integer accumulation is exact in any order, so the accumulators are
 // byte-identical to quantize + im2col + gemm_s8 for every shape.
 // ---------------------------------------------------------------------------
 
-/// Slack words past the last padded column: a full 8-lane load starting at
-/// any valid output column stays inside the row.
-constexpr int kS8Slack = 8;
+/// Zeroed elements past the last padded column (stride 1) or past each phase
+/// (stride 2). conv_row starts a 16-column tile only while more than 8 output
+/// columns remain, so the last lane any tile loads lies at most 8 elements
+/// past the row's last padded input: every tail load stays inside the row.
+constexpr int kSlack = 8;
 
-/// Per-thread buffers of the int8 conv: packed planes, weight pairs, and
-/// one stride-2 row before its phase split.
-struct S8Scratch {
-  std::vector<std::int32_t> planes, weights, row;
+/// fp32 taps: acc + w * x, the scalar gemm's multiply and add roundings.
+struct F32Ops {
+  using T = float;
+  using Vec = __m256;
+  static Vec zero() { return _mm256_setzero_ps(); }
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static Vec broadcast(float w) { return _mm256_set1_ps(w); }
+  static Vec tap(Vec acc, Vec x, Vec w) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(w, x));
+  }
+  static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static void store(float* p, __m256i mask, Vec v) {
+    _mm256_maskstore_ps(p, mask, v);
+  }
 };
 
-S8Scratch& s8_scratch() {
-  thread_local S8Scratch buffers;
+/// int8 taps: vpmaddwd sums a channel pair's two int16 products in int32.
+struct S8Ops {
+  using T = std::int32_t;
+  using Vec = __m256i;
+  static Vec zero() { return _mm256_setzero_si256(); }
+  static Vec load(const std::int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static Vec broadcast(std::int32_t w) { return _mm256_set1_epi32(w); }
+  static Vec tap(Vec acc, Vec x, Vec w) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(x, w));
+  }
+  static void store(std::int32_t* p, Vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static void store(std::int32_t* p, __m256i mask, Vec v) {
+    _mm256_maskstore_epi32(p, mask, v);
+  }
+};
+
+/// One fused conv call: packed planes, weights as [co][plane][tap] with one
+/// element per plane and tap, and the output as [co][ho][wo].
+template <typename T>
+struct FusedConv {
+  const T* planes = nullptr;
+  const T* weights = nullptr;
+  T* dst = nullptr;
+  std::ptrdiff_t plane_stride = 0;  ///< elements per padded plane
+  int count = 0;                    ///< planes: channels, or int8 pairs
+  int wp = 0;                       ///< elements per padded row
+  int half = 0;                     ///< stride 2: offset of the odd columns
+  int stride = 1;
+  int ho = 0;
+  int wo = 0;
+  int cout = 0;
+};
+
+template <typename T, typename Args>
+FusedConv<T> conv_layout(const Args& args, int count) {
+  FusedConv<T> fc;
+  fc.count = count;
+  fc.stride = args.stride;
+  fc.ho = args.ho;
+  fc.wo = args.wo;
+  fc.cout = args.cout;
+  if (args.stride == 1) {
+    fc.wp = args.w + 2 + kSlack;
+  } else {
+    fc.half = args.wo + kSlack;
+    fc.wp = 2 * fc.half;
+  }
+  fc.plane_stride = static_cast<std::ptrdiff_t>(args.h + 2) * fc.wp;
+  return fc;
+}
+
+/// Per-thread buffers of one dtype's fused conv: packed planes, int8 weight
+/// pairs, and one stride-2 row before its phase split.
+template <typename T>
+struct ConvScratch {
+  std::vector<T> planes, weights, row;
+};
+
+template <typename T>
+ConvScratch<T>& conv_scratch() {
+  thread_local ConvScratch<T> buffers;
   return buffers;
+}
+
+/// Stage fc.count padded planes into `pad`, which fc.planes then points at.
+/// padded_row(plane, r, out) writes input row r of a plane as w + 2 elements,
+/// halo included; the rows above and below copy the edge rows (replicate) or
+/// are zero.
+template <typename T, typename RowFn>
+void pack_planes(FusedConv<T>& fc, int h, int w, bool replicate,
+                 std::vector<T>& pad, const RowFn& padded_row) {
+  pad.resize(static_cast<std::size_t>(fc.count * fc.plane_stride));
+  std::vector<T>& tmp = conv_scratch<T>().row;
+  tmp.resize(static_cast<std::size_t>(w) + 2);
+  for (int p = 0; p < fc.count; ++p) {
+    T* plane = pad.data() + p * fc.plane_stride;
+    for (int r = 0; r < h; ++r) {
+      T* out = plane + static_cast<std::ptrdiff_t>(r + 1) * fc.wp;
+      if (fc.stride == 1) {
+        padded_row(p, r, out);
+        std::fill(out + w + 2, out + fc.wp, T{0});
+      } else {
+        padded_row(p, r, tmp.data());
+        const int even = (w + 3) / 2, odd = (w + 2) / 2;
+        T* odd_out = out + fc.half;
+        for (int i = 0; i < even; ++i) out[i] = tmp[2 * i];
+        for (int i = 0; i < odd; ++i) odd_out[i] = tmp[2 * i + 1];
+        std::fill(out + even, odd_out, T{0});
+        std::fill(odd_out + odd, out + fc.wp, T{0});
+      }
+    }
+    T* top = plane;
+    T* bottom = plane + static_cast<std::ptrdiff_t>(h + 1) * fc.wp;
+    if (replicate) {
+      std::copy(top + fc.wp, top + 2 * fc.wp, top);
+      std::copy(bottom - fc.wp, bottom, bottom);
+    } else {
+      std::fill(top, top + fc.wp, T{0});
+      std::fill(bottom, bottom + fc.wp, T{0});
+    }
+  }
+  fc.planes = pad.data();
+  obs::counter_add(obs::Counter::kKernelPackedBytes,
+                   static_cast<std::int64_t>(pad.size() * sizeof(T)));
+}
+
+/// kCo output channels x kNv 8-column vectors of one output row, starting at
+/// (co0, oh, ow); `valid` of the 8 * kNv columns exist in the output.
+template <typename Ops, int kStride, int kCo, int kNv>
+void conv_tile(const FusedConv<typename Ops::T>& fc, int co0, int oh, int ow,
+               int valid) {
+  using T = typename Ops::T;
+  using Vec = typename Ops::Vec;
+  Vec acc[kCo][kNv];
+  for (int c = 0; c < kCo; ++c) {
+    for (int v = 0; v < kNv; ++v) acc[c][v] = Ops::zero();
+  }
+  const std::ptrdiff_t wco = static_cast<std::ptrdiff_t>(fc.count) * 9;
+  for (int p = 0; p < fc.count; ++p) {
+    const T* plane = fc.planes + p * fc.plane_stride;
+    const T* wt = fc.weights + co0 * wco + p * 9;
+    for (int ki = 0; ki < 3; ++ki) {
+      const T* row =
+          plane + static_cast<std::ptrdiff_t>(oh * kStride + ki) * fc.wp;
+      for (int kj = 0; kj < 3; ++kj) {
+        const int off = kStride == 1 ? ow + kj
+                        : kj == 1    ? fc.half + ow
+                                     : ow + kj / 2;
+        Vec x[kNv];
+        for (int v = 0; v < kNv; ++v) x[v] = Ops::load(row + off + 8 * v);
+        for (int c = 0; c < kCo; ++c) {
+          const Vec wv = Ops::broadcast(wt[c * wco + ki * 3 + kj]);
+          for (int v = 0; v < kNv; ++v) {
+            acc[c][v] = Ops::tap(acc[c][v], x[v], wv);
+          }
+        }
+      }
+    }
+  }
+  const std::ptrdiff_t plane_out = static_cast<std::ptrdiff_t>(fc.ho) * fc.wo;
+  for (int c = 0; c < kCo; ++c) {
+    T* out = fc.dst + (co0 + c) * plane_out +
+             static_cast<std::ptrdiff_t>(oh) * fc.wo + ow;
+    for (int v = 0; v < kNv; ++v) {
+      const int lanes = valid - 8 * v;
+      if (lanes >= 8) {
+        Ops::store(out + 8 * v, acc[c][v]);
+      } else {
+        const __m256i mask =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        Ops::store(out + 8 * v, mask, acc[c][v]);
+      }
+    }
+  }
+}
+
+/// One output row for output channels [co0, co0 + kCo): 16-column tiles,
+/// then one 8-column tile for what is left.
+template <typename Ops, int kStride, int kCo>
+void conv_row(const FusedConv<typename Ops::T>& fc, int co0, int oh) {
+  int ow = 0;
+  for (; ow + 8 < fc.wo; ow += 16) {
+    conv_tile<Ops, kStride, kCo, 2>(fc, co0, oh, ow,
+                                    std::min(16, fc.wo - ow));
+  }
+  if (ow < fc.wo) {
+    conv_tile<Ops, kStride, kCo, 1>(fc, co0, oh, ow, fc.wo - ow);
+  }
+}
+
+template <typename Ops, int kStride>
+void conv_rows(const FusedConv<typename Ops::T>& fc) {
+  for (int oh = 0; oh < fc.ho; ++oh) {
+    int co = 0;
+    for (; co + 4 <= fc.cout; co += 4) conv_row<Ops, kStride, 4>(fc, co, oh);
+    for (; co < fc.cout; ++co) conv_row<Ops, kStride, 1>(fc, co, oh);
+  }
+}
+
+template <typename Ops>
+void run_conv(const FusedConv<typename Ops::T>& fc) {
+  if (fc.stride == 1) {
+    conv_rows<Ops, 1>(fc);
+  } else {
+    conv_rows<Ops, 2>(fc);
+  }
+}
+
+void avx2_conv3x3(const Conv3x3Args& args) {
+  obs::counter_add(obs::Counter::kConvFusedCalls, 1);
+  FusedConv<float> fc = conv_layout<float>(args, args.cin);
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(args.h) * args.w;
+  pack_planes(fc, args.h, args.w, args.replicate, conv_scratch<float>().planes,
+              [&](int ch, int r, float* out) {
+                const float* in = args.src + ch * hw +
+                                  static_cast<std::ptrdiff_t>(r) * args.w;
+                out[0] = args.replicate ? in[0] : 0.0f;
+                std::copy(in, in + args.w, out + 1);
+                out[args.w + 1] = args.replicate ? in[args.w - 1] : 0.0f;
+              });
+  fc.weights = args.weights;
+  fc.dst = args.dst;
+  run_conv<F32Ops>(fc);
 }
 
 /// Two int8 values as one int16-pair word: lo in bits 0-15, hi in 16-31.
@@ -611,175 +691,39 @@ void quantize_pair_row(const float* r0, const float* r1, int w, float inv,
   out[w + 1] = replicate ? out[w] : 0;
 }
 
-/// Geometry of the packed planes: cpairs planes of (h + 2) rows of wp words.
-struct S8Planes {
-  const std::int32_t* data;
-  std::ptrdiff_t plane_stride;  ///< words per channel-pair plane
-  int wp;                       ///< words per padded row
-  int half;                     ///< stride 2: offset of the odd columns
-  int cpairs;
-};
-
-void pack_s8_planes(const Conv3x3S8Args& args, const S8Planes& g,
-                    std::int32_t* pad) {
-  const int h = args.h, w = args.w;
-  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(h) * w;
-  std::vector<std::int32_t>& tmp = s8_scratch().row;
-  tmp.resize(static_cast<std::size_t>(w) + 2);
-  for (int cp = 0; cp < g.cpairs; ++cp) {
-    const float* p0 = args.src + 2 * cp * hw;
-    const float* p1 = 2 * cp + 1 < args.cin ? p0 + hw : nullptr;
-    std::int32_t* plane = pad + cp * g.plane_stride;
-    for (int r = 0; r < h; ++r) {
-      std::int32_t* out = plane + static_cast<std::ptrdiff_t>(r + 1) * g.wp;
-      const std::ptrdiff_t in = static_cast<std::ptrdiff_t>(r) * w;
-      if (args.stride == 1) {
-        quantize_pair_row(p0 + in, p1 != nullptr ? p1 + in : nullptr, w,
-                          args.inv_scale, args.replicate, out);
-        std::fill(out + w + 2, out + g.wp, 0);
-      } else {
-        quantize_pair_row(p0 + in, p1 != nullptr ? p1 + in : nullptr, w,
-                          args.inv_scale, args.replicate, tmp.data());
-        std::fill(out, out + g.wp, 0);
-        for (int c = 0; c < w + 2; ++c) {
-          out[(c & 1) != 0 ? g.half + c / 2 : c / 2] = tmp[c];
-        }
-      }
-    }
-    std::int32_t* top = plane;
-    std::int32_t* bottom = plane + static_cast<std::ptrdiff_t>(h + 1) * g.wp;
-    if (args.replicate) {
-      std::copy(top + g.wp, top + 2 * g.wp, top);
-      std::copy(bottom - g.wp, bottom, bottom);
-    } else {
-      std::fill(top, top + g.wp, 0);
-      std::fill(bottom, bottom + g.wp, 0);
-    }
-  }
-}
-
-/// kCo output channels x kNv 8-column vectors of one output row, starting at
-/// (co0, oh, ow); `valid` of the 8 * kNv columns exist in the output.
-template <int kStride, int kCo, int kNv>
-void s8_tile(const Conv3x3S8Args& args, const S8Planes& g,
-             const std::int32_t* wpairs, int co0, int oh, int ow, int valid) {
-  __m256i acc[kCo][kNv];
-  for (int c = 0; c < kCo; ++c) {
-    for (int v = 0; v < kNv; ++v) acc[c][v] = _mm256_setzero_si256();
-  }
-  const std::ptrdiff_t wco = static_cast<std::ptrdiff_t>(g.cpairs) * 9;
-  for (int cp = 0; cp < g.cpairs; ++cp) {
-    const std::int32_t* plane = g.data + cp * g.plane_stride;
-    const std::int32_t* wt = wpairs + co0 * wco + cp * 9;
-    for (int ki = 0; ki < 3; ++ki) {
-      const std::int32_t* row =
-          plane + static_cast<std::ptrdiff_t>(oh * kStride + ki) * g.wp;
-      for (int kj = 0; kj < 3; ++kj) {
-        const int off = kStride == 1 ? ow + kj
-                        : kj == 1    ? g.half + ow
-                                     : ow + kj / 2;
-        __m256i x[kNv];
-        for (int v = 0; v < kNv; ++v) {
-          x[v] = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(row + off + 8 * v));
-        }
-        for (int c = 0; c < kCo; ++c) {
-          const __m256i wv = _mm256_set1_epi32(wt[c * wco + ki * 3 + kj]);
-          for (int v = 0; v < kNv; ++v) {
-            acc[c][v] =
-                _mm256_add_epi32(acc[c][v], _mm256_madd_epi16(x[v], wv));
-          }
-        }
-      }
-    }
-  }
-  const std::ptrdiff_t plane_out =
-      static_cast<std::ptrdiff_t>(args.ho) * args.wo;
-  for (int c = 0; c < kCo; ++c) {
-    std::int32_t* out = args.dst + (co0 + c) * plane_out +
-                        static_cast<std::ptrdiff_t>(oh) * args.wo + ow;
-    for (int v = 0; v < kNv; ++v) {
-      const int lanes = valid - 8 * v;
-      if (lanes >= 8) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * v),
-                            acc[c][v]);
-      } else {
-        const __m256i mask =
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
-                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        _mm256_maskstore_epi32(out + 8 * v, mask, acc[c][v]);
-      }
-    }
-  }
-}
-
-/// One output row for output channels [co0, co0 + kCo): 16-column tiles,
-/// then one 8-column tile for what is left.
-template <int kStride, int kCo>
-void s8_row(const Conv3x3S8Args& args, const S8Planes& g,
-            const std::int32_t* wpairs, int co0, int oh) {
-  int ow = 0;
-  for (; ow + 8 < args.wo; ow += 16) {
-    s8_tile<kStride, kCo, 2>(args, g, wpairs, co0, oh, ow,
-                             std::min(16, args.wo - ow));
-  }
-  if (ow < args.wo) {
-    s8_tile<kStride, kCo, 1>(args, g, wpairs, co0, oh, ow, args.wo - ow);
-  }
-}
-
-template <int kStride>
-void s8_conv(const Conv3x3S8Args& args, const S8Planes& g,
-             const std::int32_t* wpairs) {
-  for (int oh = 0; oh < args.ho; ++oh) {
-    int co = 0;
-    for (; co + 4 <= args.cout; co += 4) {
-      s8_row<kStride, 4>(args, g, wpairs, co, oh);
-    }
-    for (; co < args.cout; ++co) s8_row<kStride, 1>(args, g, wpairs, co, oh);
-  }
-}
-
 void avx2_conv3x3_s8(const Conv3x3S8Args& args) {
   obs::counter_add(obs::Counter::kConvFusedS8Calls, 1);
-  S8Planes g{};
-  g.cpairs = (args.cin + 1) / 2;
-  if (args.stride == 1) {
-    g.wp = args.w + 2 + kS8Slack;
-  } else {
-    g.half = args.wo + kS8Slack;
-    g.wp = 2 * g.half;
-  }
-  g.plane_stride = static_cast<std::ptrdiff_t>(args.h + 2) * g.wp;
-  std::vector<std::int32_t>& pad = s8_scratch().planes;
-  pad.resize(static_cast<std::size_t>(g.cpairs * g.plane_stride));
-  pack_s8_planes(args, g, pad.data());
-  g.data = pad.data();
-  obs::counter_add(
-      obs::Counter::kKernelPackedBytes,
-      static_cast<std::int64_t>(pad.size() * sizeof(std::int32_t)));
+  const int cpairs = (args.cin + 1) / 2;
+  FusedConv<std::int32_t> fc = conv_layout<std::int32_t>(args, cpairs);
+  ConvScratch<std::int32_t>& scratch = conv_scratch<std::int32_t>();
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(args.h) * args.w;
+  pack_planes(fc, args.h, args.w, args.replicate, scratch.planes,
+              [&](int cp, int r, std::int32_t* out) {
+                const float* r0 = args.src + 2 * cp * hw +
+                                  static_cast<std::ptrdiff_t>(r) * args.w;
+                const float* r1 = 2 * cp + 1 < args.cin ? r0 + hw : nullptr;
+                quantize_pair_row(r0, r1, args.w, args.inv_scale,
+                                  args.replicate, out);
+              });
 
   // Weight pairs, [co][cpair][tap], matching the plane interleave.
-  std::vector<std::int32_t>& wpairs = s8_scratch().weights;
-  wpairs.resize(static_cast<std::size_t>(args.cout) * g.cpairs * 9);
+  std::vector<std::int32_t>& wpairs = scratch.weights;
+  wpairs.resize(static_cast<std::size_t>(args.cout) * cpairs * 9);
   for (int co = 0; co < args.cout; ++co) {
     const std::int8_t* wco =
         args.weights + static_cast<std::ptrdiff_t>(co) * args.cin * 9;
-    for (int cp = 0; cp < g.cpairs; ++cp) {
+    for (int cp = 0; cp < cpairs; ++cp) {
       const std::int8_t* w0 = wco + 2 * cp * 9;
       const bool has_hi = 2 * cp + 1 < args.cin;
       for (int t = 0; t < 9; ++t) {
-        wpairs[(static_cast<std::size_t>(co) * g.cpairs + cp) * 9 + t] =
+        wpairs[(static_cast<std::size_t>(co) * cpairs + cp) * 9 + t] =
             pair_word(w0[t], has_hi ? w0[9 + t] : 0);
       }
     }
   }
-
-  if (args.stride == 1) {
-    s8_conv<1>(args, g, wpairs.data());
-  } else {
-    s8_conv<2>(args, g, wpairs.data());
-  }
+  fc.weights = wpairs.data();
+  fc.dst = args.dst;
+  run_conv<S8Ops>(fc);
 }
 
 const KernelTable kAvx2Table = {

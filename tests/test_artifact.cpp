@@ -183,6 +183,50 @@ TEST(Artifact, TamperedDimensionShapeMismatchNamesParameter) {
   }
 }
 
+/// Save the tiny model, overwrite the int32 header field at `offset` with
+/// `value`, and return the CheckError message load_artifact throws.
+std::string load_with_field(const std::string& name, std::streamoff offset,
+                            std::int32_t value) {
+  TempFile file(name);
+  {
+    WorstCaseNoiseNet model(tiny_config());
+    core::save_artifact(model, {}, file.path);
+    std::fstream f(file.path,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(offset);
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  try {
+    core::load_artifact(file.path);
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file.path), std::string::npos) << what;
+    return what;
+  }
+  ADD_FAILURE() << "expected CheckError for value " << value;
+  return "";
+}
+
+// Header offsets: magic 4 + version 4, then distance_channels, tile_rows,
+// tile_cols, c1, c2, c3 at 4 bytes each. An inflated dimension must fail
+// with a named CheckError before the model is built, never as bad_alloc.
+TEST(Artifact, InflatedKernelCountFailsBeforeAllocation) {
+  const std::string what = load_with_field("artifact_c3.pdnb", 28, 60000);
+  EXPECT_NE(what.find("'c3'"), std::string::npos) << what;
+  EXPECT_NE(what.find("60000"), std::string::npos) << what;
+}
+
+TEST(Artifact, InflatedDistanceChannelsFailBeforeAllocation) {
+  const std::string what =
+      load_with_field("artifact_bumps.pdnb", 8, 100000000);
+  EXPECT_NE(what.find("'distance_channels'"), std::string::npos) << what;
+}
+
+TEST(Artifact, InflatedTileRowsFailToLoad) {
+  const std::string what = load_with_field("artifact_rows.pdnb", 12, 100000);
+  EXPECT_NE(what.find("'tile_rows'"), std::string::npos) << what;
+}
+
 TEST(Artifact, LoadModelRejectsArchitectureMismatch) {
   TempFile file("artifact_arch.pdnb");
   {

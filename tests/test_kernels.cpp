@@ -397,9 +397,9 @@ struct ConvCase {
   nn::PadMode mode;
 };
 
-// Stride 1 and 2, both pad modes, output widths hitting the 32-wide tiles,
-// the 8-wide tail, and the scalar remainder, plus tiny planes where the
-// halo dominates.
+// Stride 1 and 2, both pad modes, output widths hitting full 16-column
+// tiles, an 8-column tile, and masked tails, plus tiny planes where the halo
+// dominates.
 const ConvCase kConvCases[] = {
     {3, 5, 16, 16, 1, nn::PadMode::kReplicate},
     {3, 5, 16, 16, 2, nn::PadMode::kReplicate},
@@ -412,8 +412,18 @@ const ConvCase kConvCases[] = {
     {4, 3, 5, 40, 1, nn::PadMode::kZero},
 };
 
+std::string describe(const ConvCase& cc) {
+  return std::to_string(cc.cin) + "->" + std::to_string(cc.cout) + " " +
+         std::to_string(cc.h) + "x" + std::to_string(cc.w) + " stride " +
+         std::to_string(cc.stride) +
+         (cc.mode == nn::PadMode::kZero ? " zero" : " replicate");
+}
+
+/// nn::Conv2d forward under a forced backend: the scalar table lowers through
+/// im2col + gemm_nn, AVX2 runs the fused kernel. A nonzero `poison` replaces
+/// the input element at flat index `at` (default: the middle of the batch).
 std::vector<float> run_conv(const ConvCase& cc, KernelBackend backend,
-                            int batch, float poison) {
+                            int batch, float poison, std::int64_t at = -1) {
   ForcedBackend forced(backend);
   util::Rng rng(29);
   nn::Conv2d conv(cc.cin, cc.cout, 3, cc.stride, 1, cc.mode, rng);
@@ -422,7 +432,7 @@ std::vector<float> run_conv(const ConvCase& cc, KernelBackend backend,
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x.data()[i] = static_cast<float>(data_rng.normal());
   }
-  if (poison != 0.0f) x.data()[x.numel() / 2] = poison;
+  if (poison != 0.0f) x.data()[at < 0 ? x.numel() / 2 : at] = poison;
   nn::NoGradGuard guard;
   const Var y = conv.forward(Var(x));
   return std::vector<float>(y.value().data(),
@@ -434,9 +444,7 @@ TEST(Kernels, ConvForwardBitIdenticalAcrossBackends) {
   for (const ConvCase& cc : kConvCases) {
     const auto scalar = run_conv(cc, KernelBackend::kScalar, 2, 0.0f);
     const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 2, 0.0f);
-    EXPECT_TRUE(bitwise_equal(scalar, avx2))
-        << cc.cin << "->" << cc.cout << " " << cc.h << "x" << cc.w
-        << " stride " << cc.stride;
+    EXPECT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
   }
 }
 
@@ -448,27 +456,89 @@ TEST(Kernels, ConvForwardNanBitIdenticalAcrossBackends) {
   EXPECT_TRUE(bitwise_equal(scalar, avx2));
 }
 
+TEST(Kernels, ConvFusedMatchesFallbackEveryTail) {
+  SKIP_WITHOUT_AVX2();
+  // Every h and w in 1..33: each 16- and 8-column tile, every masked tail
+  // width, both row halos, and planes smaller than the kernel. cout = 5
+  // covers a 4-channel tile plus a 1-channel one. The poisoned runs put NaN,
+  // +inf or -inf in the last input column of channel 1, so it reaches the
+  // last output columns, which sit in a masked tail whenever wo % 8 != 0.
+  const float poisons[] = {std::nanf(""), INFINITY, -INFINITY};
+  for (const int stride : {1, 2}) {
+    for (const nn::PadMode mode :
+         {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
+      for (int h = 1; h <= 33; ++h) {
+        for (int w = 1; w <= 33; ++w) {
+          const ConvCase cc = {3, 5, h, w, stride, mode};
+          const auto scalar = run_conv(cc, KernelBackend::kScalar, 1, 0.0f);
+          const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 1, 0.0f);
+          ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
+          const float poison = poisons[(h + w) % 3];
+          const std::int64_t at =
+              (static_cast<std::int64_t>(h) + h / 2) * w + w - 1;
+          const auto scalar_p =
+              run_conv(cc, KernelBackend::kScalar, 1, poison, at);
+          const auto avx2_p = run_conv(cc, KernelBackend::kAvx2, 1, poison, at);
+          ASSERT_TRUE(bitwise_equal(scalar_p, avx2_p))
+              << describe(cc) << " poison " << poison;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ConvFusedMatchesFallbackEveryChannelCount) {
+  SKIP_WITHOUT_AVX2();
+  // cout in 1..9 leaves every remainder of the 4-channel tile; cin covers
+  // the paper net's 1 (enc1), 2, 8, 16 and the concatenated 32 of up*_conv.
+  const int sizes[][2] = {{7, 9}, {28, 20}, {14, 33}};
+  for (const int cin : {1, 2, 8, 16, 32}) {
+    for (int cout = 1; cout <= 9; ++cout) {
+      for (const auto& hw : sizes) {
+        for (const int stride : {1, 2}) {
+          for (const nn::PadMode mode :
+               {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
+            const ConvCase cc = {cin, cout, hw[0], hw[1], stride, mode};
+            const auto scalar = run_conv(cc, KernelBackend::kScalar, 2, 0.0f);
+            const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 2, 0.0f);
+            ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ConvFusedBitStableAcrossThreadCounts) {
+  // A batch of 6 samples fans out over the pool; each sample's map must not
+  // depend on which worker ran it.
+  const ConvCase cases[] = {{16, 16, 28, 28, 2, nn::PadMode::kReplicate},
+                            {32, 16, 14, 14, 1, nn::PadMode::kReplicate},
+                            {16, 1, 28, 20, 1, nn::PadMode::kZero}};
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (!linalg::backend_supported(backend)) continue;
+    for (const ConvCase& cc : cases) {
+      util::ThreadPool::set_global_threads(1);
+      const auto one = run_conv(cc, backend, 6, 0.0f);
+      util::ThreadPool::set_global_threads(4);
+      const auto four = run_conv(cc, backend, 6, 0.0f);
+      util::ThreadPool::set_global_threads(0);
+      EXPECT_TRUE(bitwise_equal(one, four))
+          << linalg::backend_name(backend) << " " << describe(cc);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fused int8 3x3 conv vs the quantize + im2col + gemm_s8 fallback
 // ---------------------------------------------------------------------------
-
-struct S8ConvCase {
-  int cin, cout, h, w, stride;
-  nn::PadMode mode;
-};
-
-std::string describe(const S8ConvCase& cc) {
-  return std::to_string(cc.cin) + "->" + std::to_string(cc.cout) + " " +
-         std::to_string(cc.h) + "x" + std::to_string(cc.w) + " stride " +
-         std::to_string(cc.stride) +
-         (cc.mode == nn::PadMode::kZero ? " zero" : " replicate");
-}
 
 /// nn::quantized_conv2d under a forced backend: the scalar table lowers
 /// through quantize + int8 im2col + gemm_s8, AVX2 runs the fused kernel. The
 /// activation scale puts about 5% of the normal inputs past ±127, so the
 /// clamp is exercised too.
-std::vector<float> run_conv_s8(const S8ConvCase& cc, KernelBackend backend,
+std::vector<float> run_conv_s8(const ConvCase& cc, KernelBackend backend,
                                int batch) {
   ForcedBackend forced(backend);
   nn::ParamQuant pq;
@@ -501,7 +571,7 @@ TEST(Kernels, ConvS8FusedMatchesFallbackEveryTail) {
          {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
       for (int h = 1; h <= 33; ++h) {
         for (int w = 1; w <= 33; ++w) {
-          const S8ConvCase cc = {3, 5, h, w, stride, mode};
+          const ConvCase cc = {3, 5, h, w, stride, mode};
           const auto scalar = run_conv_s8(cc, KernelBackend::kScalar, 1);
           const auto avx2 = run_conv_s8(cc, KernelBackend::kAvx2, 1);
           ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
@@ -522,7 +592,7 @@ TEST(Kernels, ConvS8FusedMatchesFallbackEveryChannelCount) {
         for (const int stride : {1, 2}) {
           for (const nn::PadMode mode :
                {nn::PadMode::kZero, nn::PadMode::kReplicate}) {
-            const S8ConvCase cc = {cin, cout, hw[0], hw[1], stride, mode};
+            const ConvCase cc = {cin, cout, hw[0], hw[1], stride, mode};
             const auto scalar = run_conv_s8(cc, KernelBackend::kScalar, 2);
             const auto avx2 = run_conv_s8(cc, KernelBackend::kAvx2, 2);
             ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(cc);
@@ -534,12 +604,12 @@ TEST(Kernels, ConvS8FusedMatchesFallbackEveryChannelCount) {
 }
 
 TEST(Kernels, ConvS8BitStableAcrossThreadCounts) {
-  const S8ConvCase cases[] = {{16, 8, 28, 20, 2, nn::PadMode::kReplicate},
+  const ConvCase cases[] = {{16, 8, 28, 20, 2, nn::PadMode::kReplicate},
                               {8, 1, 28, 20, 1, nn::PadMode::kZero}};
   for (const KernelBackend backend :
        {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (!linalg::backend_supported(backend)) continue;
-    for (const S8ConvCase& cc : cases) {
+    for (const ConvCase& cc : cases) {
       util::ThreadPool::set_global_threads(1);
       const auto one = run_conv_s8(cc, backend, 6);
       util::ThreadPool::set_global_threads(4);
