@@ -312,6 +312,53 @@ BENCHMARK(BM_ConvBackendNarrow)
     ->ArgsProduct({{0, 1}, {1}, {28, 20, 14, 7}})
     ->ArgsProduct({{0, 1}, {2}, {28, 14}});
 
+// The output layers' cout = 1 convs (fusion_net.dec2 8 -> 1, the
+// prediction net's out_conv 16 -> 1) at D4's 32 and D2's 28 columns.
+// Arguments: backend, cin, input width.
+void BM_ConvBackendNarrowCout(benchmark::State& state) {
+  run_conv_backend(state, static_cast<linalg::KernelBackend>(state.range(0)),
+                   1, static_cast<int>(state.range(1)), 1,
+                   static_cast<int>(state.range(2)));
+}
+BENCHMARK(BM_ConvBackendNarrowCout)->ArgsProduct({{0, 1}, {8, 16}, {32, 28}});
+
+/// One forced-backend transposed conv (3x3, stride 2, pad 1,
+/// output_padding 1) of a single cin x hw x hw sample per iteration: the
+/// scalar table lowers through gemm_tn + col2im, AVX2 runs the fused gather
+/// kernel. Arguments: backend, channels (cin = cout), input width. The
+/// shapes are the paper net's three deconvs at D4's size: fusion_net.dec1
+/// (8 -> 8 at 16x16, one of its T samples), prediction_net.up1 (16 -> 16 at
+/// 8x8) and up2 (16 -> 16 at 16x16).
+void BM_DeconvBackend(benchmark::State& state) {
+  const auto backend = static_cast<linalg::KernelBackend>(state.range(0));
+  if (!force_backend_or_skip(state, backend)) return;
+  const int ch = static_cast<int>(state.range(1));
+  const int hw = static_cast<int>(state.range(2));
+  util::Rng rng(5);
+  nn::ConvTranspose2d deconv(ch, ch, 3, 2, 1, 1, rng);
+  nn::Tensor x({1, ch, hw, hw});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.uniform());
+  }
+  nn::NoGradGuard guard;
+  for (auto _ : state) {
+    const nn::Var y = deconv.forward(nn::Var(x));
+    benchmark::DoNotOptimize(y.value().data());
+  }
+  const double flops = 2.0 * hw * hw * ch * ch * 9;
+  state.counters["MFLOPS"] = benchmark::Counter(
+      flops * 1e-6, benchmark::Counter::kIsIterationInvariantRate);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(flops));
+  state.SetLabel(std::string(linalg::backend_name(backend)) + ", " +
+                 std::to_string(ch) + "->" + std::to_string(ch) + ", " +
+                 std::to_string(hw) + "x" + std::to_string(hw));
+  linalg::clear_forced_backend();
+}
+BENCHMARK(BM_DeconvBackend)
+    ->ArgsProduct({{0, 1}, {8}, {16}})
+    ->ArgsProduct({{0, 1}, {16}, {8, 16}});
+
 void BM_Conv2dBatchThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   util::ThreadPool::set_global_threads(threads);

@@ -104,8 +104,8 @@ void write_header(std::ostream& out, std::uint32_t version,
   PDN_CHECK(out.good(), "save_artifact: header write failed for " + path);
 }
 
-/// Weight-block reader shared by load_artifact and load_model: dispatches on
-/// the version/dtype the header announced.
+/// Weight-block reader of load_artifact: dispatches on the version/dtype the
+/// header announced.
 void load_weights(const ModelArtifact& art,
                   const std::vector<nn::Parameter*>& params, std::istream& in,
                   const std::string& path) {
@@ -163,32 +163,6 @@ ModelArtifact peek_artifact(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PDN_CHECK(in.good(), "peek_artifact: cannot open " + path);
   return read_header(in, path);
-}
-
-// ---------------------------------------------------------------------------
-// Compat shims declared in core/model.hpp.
-// ---------------------------------------------------------------------------
-
-void save_model(WorstCaseNoiseNet& model, const std::string& path) {
-  save_artifact(model, TemporalCompressionOptions{}, path);
-}
-
-ModelConfig peek_model_config(const std::string& path) {
-  return peek_artifact(path).config;
-}
-
-void load_model(WorstCaseNoiseNet& model, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PDN_CHECK(in.good(), "load_model: cannot open " + path);
-  const ModelArtifact stored = read_header(in, path);
-  const ModelConfig& own = model.config();
-  PDN_CHECK(stored.config.distance_channels == own.distance_channels &&
-                stored.config.tile_rows == own.tile_rows &&
-                stored.config.tile_cols == own.tile_cols &&
-                stored.config.c1 == own.c1 && stored.config.c2 == own.c2 &&
-                stored.config.c3 == own.c3,
-            "load_model: architecture mismatch for " + path);
-  load_weights(stored, model.parameters(), in, path);
 }
 
 }  // namespace pdnn::core

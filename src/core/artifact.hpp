@@ -20,8 +20,7 @@
 // Every read is checked; truncation, a bad magic, or a shape mismatch throws
 // util::CheckError naming the offending field. The field read/write and
 // magic/version conventions are shared with the PDNC store chunks and PDNT
-// training checkpoints via store/container.hpp. save_model/load_model in
-// core/model.hpp are thin compat shims over this container.
+// training checkpoints via store/container.hpp.
 #pragma once
 
 #include <memory>

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
@@ -119,12 +118,5 @@ class WorstCaseNoiseNet : public nn::Module {
   FusionNet fusion_net_;
   UNet2 prediction_net_;
 };
-
-/// Compat shims over the single-file artifact container (core/artifact.hpp):
-/// save_model writes an artifact with default compressor options; load_model
-/// verifies the stored architecture matches and loads the weights.
-void save_model(WorstCaseNoiseNet& model, const std::string& path);
-ModelConfig peek_model_config(const std::string& path);
-void load_model(WorstCaseNoiseNet& model, const std::string& path);
 
 }  // namespace pdnn::core

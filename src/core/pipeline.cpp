@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <string>
+
 #include "core/features.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -14,6 +16,21 @@ WorstCasePipeline::WorstCasePipeline(const pdn::PowerGrid& grid,
       options_(options),
       spatial_(grid),
       distance_(distance_feature(grid)) {
+  // The convs accept any map size, so an artifact trained on another design
+  // would otherwise run and serve a plausible but wrong map.
+  const ModelConfig& cfg = model_.config();
+  const pdn::DesignSpec& spec = grid.spec();
+  PDN_CHECK(cfg.tile_rows == spec.tile_rows && cfg.tile_cols == spec.tile_cols,
+            "WorstCasePipeline: artifact architecture mismatch: model tiles " +
+                std::to_string(cfg.tile_rows) + " x " +
+                std::to_string(cfg.tile_cols) + ", grid '" + spec.name +
+                "' tiles " + std::to_string(spec.tile_rows) + " x " +
+                std::to_string(spec.tile_cols));
+  PDN_CHECK(cfg.distance_channels == distance_.c(),
+            "WorstCasePipeline: artifact architecture mismatch: model "
+            "distance_channels " +
+                std::to_string(cfg.distance_channels) + ", grid '" +
+                spec.name + "' bumps " + std::to_string(distance_.c()));
   nn::NoGradGuard no_grad;
   distance_reduced_ =
       model_.reduce_distance(nn::Var(distance_)).value();

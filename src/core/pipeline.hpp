@@ -64,6 +64,8 @@ class WorstCasePipeline {
  public:
   /// The grid and model are captured by reference and must outlive the
   /// pipeline; the model's weights must stay frozen while predictions run.
+  /// Throws util::CheckError, naming both values, when the model's tile
+  /// grid or distance_channels disagree with the grid's tiles or bumps.
   WorstCasePipeline(const pdn::PowerGrid& grid,
                     const WorstCaseNoiseNet& model, PipelineOptions options);
 

@@ -1,6 +1,7 @@
 // AVX2 kernel backend: register-blocked GEMM microkernels over packed B
-// panels, and fused fp32 and int8 3x3 convolutions that skip im2col for the
-// paper net's stride-1/stride-2 shapes.
+// panels, fused fp32 and int8 3x3 convolutions that skip im2col for the
+// paper net's stride-1/stride-2 shapes, and a fused stride-2 transposed 3x3
+// convolution that skips gemm_tn + col2im.
 //
 // Bit-identity with the scalar fallback is a hard contract (tests and the CI
 // kernel-dispatch job memcmp the two backends): every output element
@@ -13,7 +14,8 @@
 // contiguous B panels. The fused conv adds three more: it skips the 9x
 // im2col materialization, its 4-channel register tile loads each tap's
 // input once for four output channels, and masked stores finish column
-// tails in vector code. None of it comes from reassociating the sum.
+// tails in vector code. The fused transposed conv gathers each output's taps
+// instead of scattering them. None of it comes from reassociating the sum.
 #include "linalg/kernels/kernel_common.hpp"
 #include "linalg/kernels/registry.hpp"
 
@@ -419,9 +421,11 @@ void avx2_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
 // ---------------------------------------------------------------------------
 
 /// Zeroed elements past the last padded column (stride 1) or past each phase
-/// (stride 2). conv_row starts a 16-column tile only while more than 8 output
-/// columns remain, so the last lane any tile loads lies at most 8 elements
-/// past the row's last padded input: every tail load stays inside the row.
+/// (stride 2). conv_row gives every tile ceil(valid / 8) vectors, so the last
+/// lane any tile loads lies at most 8 elements past the row's last padded
+/// input: every tail load stays inside the row.
+/// The transposed conv's 8-column tiles start below the input width, so
+/// their shifted load ends at most 7 elements past the right halo.
 constexpr int kSlack = 8;
 
 /// fp32 taps: acc + w * x, the scalar gemm's multiply and add roundings.
@@ -550,6 +554,26 @@ void pack_planes(FusedConv<T>& fc, int h, int w, bool replicate,
                    static_cast<std::int64_t>(pad.size() * sizeof(T)));
 }
 
+inline __m256i lane_index() {
+  return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+}
+
+/// Lane i is all ones when i < n: none for n <= 0, all for n >= 8.
+inline __m256i lanes_below(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane_index());
+}
+
+/// Store lanes [0, lanes) of v at out: a full store, or a masked one for a
+/// column tail (nothing when lanes <= 0).
+template <typename Ops>
+void store_lanes(typename Ops::T* out, typename Ops::Vec v, int lanes) {
+  if (lanes >= 8) {
+    Ops::store(out, v);
+  } else if (lanes > 0) {
+    Ops::store(out, lanes_below(lanes), v);
+  }
+}
+
 /// kCo output channels x kNv 8-column vectors of one output row, starting at
 /// (co0, oh, ow); `valid` of the 8 * kNv columns exist in the output.
 template <typename Ops, int kStride, int kCo, int kNv>
@@ -588,24 +612,34 @@ void conv_tile(const FusedConv<typename Ops::T>& fc, int co0, int oh, int ow,
     T* out = fc.dst + (co0 + c) * plane_out +
              static_cast<std::ptrdiff_t>(oh) * fc.wo + ow;
     for (int v = 0; v < kNv; ++v) {
-      const int lanes = valid - 8 * v;
-      if (lanes >= 8) {
-        Ops::store(out + 8 * v, acc[c][v]);
-      } else {
-        const __m256i mask =
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
-                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        Ops::store(out + 8 * v, mask, acc[c][v]);
-      }
+      store_lanes<Ops>(out + 8 * v, acc[c][v], valid - 8 * v);
     }
   }
 }
 
 /// One output row for output channels [co0, co0 + kCo): 16-column tiles,
-/// then one 8-column tile for what is left.
+/// then one 8-column tile for what is left. A lone channel (the cout = 1
+/// output layers, or a remainder past the 4-channel blocks) takes tiles of up
+/// to 32 columns instead, so a 20- to 32-column row keeps 3 or 4 independent
+/// accumulator chains rather than 2.
 template <typename Ops, int kStride, int kCo>
 void conv_row(const FusedConv<typename Ops::T>& fc, int co0, int oh) {
   int ow = 0;
+  if constexpr (kCo == 1) {
+    for (; ow < fc.wo; ow += 32) {
+      const int valid = std::min(32, fc.wo - ow);
+      if (valid > 24) {
+        conv_tile<Ops, kStride, 1, 4>(fc, co0, oh, ow, valid);
+      } else if (valid > 16) {
+        conv_tile<Ops, kStride, 1, 3>(fc, co0, oh, ow, valid);
+      } else if (valid > 8) {
+        conv_tile<Ops, kStride, 1, 2>(fc, co0, oh, ow, valid);
+      } else {
+        conv_tile<Ops, kStride, 1, 1>(fc, co0, oh, ow, valid);
+      }
+    }
+    return;
+  }
   for (; ow + 8 < fc.wo; ow += 16) {
     conv_tile<Ops, kStride, kCo, 2>(fc, co0, oh, ow,
                                     std::min(16, fc.wo - ow));
@@ -648,6 +682,146 @@ void avx2_conv3x3(const Conv3x3Args& args) {
   fc.weights = args.weights;
   fc.dst = args.dst;
   run_conv<F32Ops>(fc);
+}
+
+// ---------------------------------------------------------------------------
+// Fused stride-2 transposed 3x3 convolution (pad 1, output_padding 1)
+//
+// Gather form: instead of scattering W^T * x into the output (gemm_tn, then
+// col2im_acc), each output pixel reads its own taps. Output row 2a takes
+// ki = 1 at input row a; row 2a + 1 takes ki = 0 at row a + 1, then ki = 2 at
+// row a. Columns follow the same rule with kj: even column 2b takes kj = 1 at
+// input column b, odd column 2b + 1 takes kj = 0 at b + 1, then kj = 2 at b.
+// A tile vectorizes over 8 input columns, so one kernel row ki yields three
+// tap vectors per output channel, and the even and odd output columns are
+// interleaved (unpack, then a 128-bit permute) into 16 output columns.
+//
+// Bit-identity with the lowering: each tap is its own sum over ci, ascending
+// from 0, as a multiply then an add (gemm_tn's sequence), and an output adds
+// its valid taps in ascending (ki, kj) order, the order col2im_acc visits
+// them. Taps past the last input row are skipped by a row branch, and past
+// the last input column by a lane blend: the zero padding those lanes read
+// is never added, so an inf weight cannot turn it into NaN where the lowering
+// adds nothing. Lanes past the last column are computed but not stored.
+// ---------------------------------------------------------------------------
+
+/// Kernel row ki's three taps at one input row for kCo output channels and 8
+/// input columns b..b + 7: taps[c][kj] sums w[ci][co0 + c][ki][kj] times the
+/// input at column b + 1 (kj = 0) or b (kj = 1, 2) over ci. x points at input
+/// column b of the row in plane 0, and wk at w[0][co0][ki][0].
+template <int kCo>
+inline void deconv_taps(const FusedConv<float>& fc, const float* wk,
+                        const float* x, __m256 (&taps)[kCo][3]) {
+  for (int c = 0; c < kCo; ++c) {
+    for (int kj = 0; kj < 3; ++kj) taps[c][kj] = F32Ops::zero();
+  }
+  const std::ptrdiff_t wci = static_cast<std::ptrdiff_t>(fc.cout) * 9;
+  for (int ci = 0; ci < fc.count; ++ci) {
+    const float* xc = x + ci * fc.plane_stride;
+    const __m256 at_b = F32Ops::load(xc);
+    const __m256 at_b1 = F32Ops::load(xc + 1);
+    const float* wt = wk + ci * wci;
+    for (int c = 0; c < kCo; ++c) {
+      taps[c][0] =
+          F32Ops::tap(taps[c][0], at_b1, F32Ops::broadcast(wt[c * 9]));
+      taps[c][1] =
+          F32Ops::tap(taps[c][1], at_b, F32Ops::broadcast(wt[c * 9 + 1]));
+      taps[c][2] =
+          F32Ops::tap(taps[c][2], at_b, F32Ops::broadcast(wt[c * 9 + 2]));
+    }
+  }
+}
+
+/// Write the even-column outputs `even` and odd-column outputs `odd` of 8
+/// input columns as 16 consecutive output columns, `valid` of which exist.
+inline void store_interleaved(float* out, __m256 even, __m256 odd,
+                              int valid) {
+  const __m256 lo = _mm256_unpacklo_ps(even, odd);  // e0 o0 e1 o1 | e4 o4 ..
+  const __m256 hi = _mm256_unpackhi_ps(even, odd);  // e2 o2 e3 o3 | e6 o6 ..
+  store_lanes<F32Ops>(out, _mm256_permute2f128_ps(lo, hi, 0x20), valid);
+  store_lanes<F32Ops>(out + 8, _mm256_permute2f128_ps(lo, hi, 0x31),
+                      valid - 8);
+}
+
+/// Output rows 2a and 2a + 1, columns 2b..2b + 15, of channels
+/// [co0, co0 + kCo). fc.planes hold the input with a 1-pixel zero halo, h and
+/// w are the input's size.
+template <int kCo>
+void deconv_tile(const FusedConv<float>& fc, int h, int w, int co0, int a,
+                 int b) {
+  const float* row_a =
+      fc.planes + static_cast<std::ptrdiff_t>(a + 1) * fc.wp + 1 + b;
+  const float* wk = fc.weights + co0 * 9;
+  // The lane holding the last input column has no kj = 0 tap.
+  const __m256 last = _mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(_mm256_set1_epi32(w - 1 - b), lane_index()));
+  const int valid = 2 * std::min(8, w - b);
+  const std::ptrdiff_t plane_out = static_cast<std::ptrdiff_t>(fc.ho) * fc.wo;
+  float* out = fc.dst + co0 * plane_out +
+               static_cast<std::ptrdiff_t>(2 * a) * fc.wo + 2 * b;
+
+  __m256 t1[kCo][3];
+  deconv_taps<kCo>(fc, wk + 3, row_a, t1);
+  for (int c = 0; c < kCo; ++c) {
+    const __m256 odd = _mm256_add_ps(t1[c][0], t1[c][2]);
+    store_interleaved(out + c * plane_out, t1[c][1],
+                      _mm256_blendv_ps(odd, t1[c][2], last), valid);
+  }
+
+  out += fc.wo;
+  __m256 t2[kCo][3];
+  deconv_taps<kCo>(fc, wk + 6, row_a, t2);
+  if (a + 1 == h) {  // no ki = 0 taps below the last input row
+    for (int c = 0; c < kCo; ++c) {
+      const __m256 odd = _mm256_add_ps(t2[c][0], t2[c][2]);
+      store_interleaved(out + c * plane_out, t2[c][1],
+                        _mm256_blendv_ps(odd, t2[c][2], last), valid);
+    }
+    return;
+  }
+  __m256 t0[kCo][3];
+  deconv_taps<kCo>(fc, wk, row_a + fc.wp, t0);
+  for (int c = 0; c < kCo; ++c) {
+    const __m256 even = _mm256_add_ps(t0[c][1], t2[c][1]);
+    const __m256 odd = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(t0[c][0], t0[c][2]), t2[c][0]), t2[c][2]);
+    const __m256 edge = _mm256_add_ps(t0[c][2], t2[c][2]);
+    store_interleaved(out + c * plane_out, even,
+                      _mm256_blendv_ps(odd, edge, last), valid);
+  }
+}
+
+void avx2_deconv3x3_s2(const Deconv3x3Args& args) {
+  obs::counter_add(obs::Counter::kConvFusedDeconvCalls, 1);
+  FusedConv<float> fc;
+  fc.count = args.cin;
+  fc.wp = args.w + 2 + kSlack;
+  fc.plane_stride = static_cast<std::ptrdiff_t>(args.h + 2) * fc.wp;
+  fc.ho = 2 * args.h;
+  fc.wo = 2 * args.w;
+  fc.cout = args.cout;
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(args.h) * args.w;
+  pack_planes(fc, args.h, args.w, /*replicate=*/false,
+              conv_scratch<float>().planes, [&](int ch, int r, float* out) {
+                const float* in = args.src + ch * hw +
+                                  static_cast<std::ptrdiff_t>(r) * args.w;
+                out[0] = 0.0f;
+                std::copy(in, in + args.w, out + 1);
+                out[args.w + 1] = 0.0f;
+              });
+  fc.weights = args.weights;
+  fc.dst = args.dst;
+  const int blocked = args.cout / 4 * 4;
+  for (int a = 0; a < args.h; ++a) {
+    for (int b = 0; b < args.w; b += 8) {
+      for (int co = 0; co < blocked; co += 4) {
+        deconv_tile<4>(fc, args.h, args.w, co, a, b);
+      }
+      for (int co = blocked; co < args.cout; ++co) {
+        deconv_tile<1>(fc, args.h, args.w, co, a, b);
+      }
+    }
+  }
 }
 
 /// Two int8 values as one int16-pair word: lo in bits 0-15, hi in 16-31.
@@ -734,6 +908,7 @@ const KernelTable kAvx2Table = {
     avx2_conv3x3,
     avx2_gemm_s8,
     avx2_conv3x3_s8,
+    avx2_deconv3x3_s2,
 };
 
 }  // namespace

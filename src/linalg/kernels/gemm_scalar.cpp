@@ -124,6 +124,7 @@ const KernelTable kScalarTable = {
     nullptr,  // no fused conv: the scalar path lowers through im2col
     scalar_gemm_s8,
     nullptr,  // no fused int8 conv: quantize, im2col, then gemm_s8
+    nullptr,  // no fused deconv: gemm_tn + col2im is the reference
 };
 
 }  // namespace pdnn::linalg::detail

@@ -128,4 +128,11 @@ bool conv3x3_s8_fused(const Conv3x3S8Args& args) {
   return true;
 }
 
+bool deconv3x3_fused(const Deconv3x3Args& args) {
+  const KernelTable& table = kernels();
+  if (table.deconv3x3_s2 == nullptr) return false;
+  table.deconv3x3_s2(args);
+  return true;
+}
+
 }  // namespace pdnn::linalg

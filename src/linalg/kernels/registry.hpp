@@ -4,8 +4,9 @@
 // backends, selected once per process at first use:
 //
 //   * kScalar — portable C++ loops (the historical kernels); always present.
-//   * kAvx2   — AVX2 microkernels with B-panel packing and fused fp32 and
-//               int8 3x3 conv paths; present when the binary was built
+//   * kAvx2   — AVX2 microkernels with B-panel packing, fused fp32 and
+//               int8 3x3 conv paths and a fused stride-2 3x3 transposed
+//               conv; present when the binary was built
 //               with AVX2 support AND the CPU reports the avx2 feature bit
 //               (CPUID probe, in the spirit of PyTorch's ConvParams::use_*
 //               capability tests).
@@ -116,6 +117,26 @@ struct Conv3x3S8Args {
 
 using Conv3x3S8Fn = void (*)(const Conv3x3S8Args& args);
 
+/// One sample of the paper net's transposed convolution: 3x3 kernel, stride
+/// 2, pad 1, output_padding 1, so the output is 2h x 2w. dst is overwritten
+/// with col2im(W^T * src) and no bias, bit-identical to the gemm_tn +
+/// col2im_acc lowering: each output sums its valid taps in ascending (ki, kj)
+/// order, each tap being its own sum over ci ascending from 0, as a multiply
+/// then an add. Taps that fall outside the input (the last output row and
+/// column) are skipped, never multiplied by a zero halo, so an inf weight
+/// adds nothing there, as in the lowering.
+struct Deconv3x3Args {
+  const float* src = nullptr;      ///< input sample, cin x h x w
+  const float* weights = nullptr;  ///< kernel bank, cin x cout x 3 x 3
+  float* dst = nullptr;            ///< output sample, cout x 2h x 2w
+  int cin = 0;
+  int h = 0;
+  int w = 0;
+  int cout = 0;
+};
+
+using Deconv3x3Fn = void (*)(const Deconv3x3Args& args);
+
 /// C = A * B over quantized operands: A is m x k int8, B is k x n int8, C is
 /// m x n int32, all row-major; C is overwritten (beta = 0 semantics — the
 /// quantized conv path dequantizes into a fresh buffer, so nothing ever
@@ -130,8 +151,9 @@ using GemmS8Fn = void (*)(int m, int n, int k, const std::int8_t* a, int lda,
 
 /// A backend's kernel set. gemm_nt has no vectorized variant (its dot-product
 /// shape gains nothing from the contract-preserving ops), so both backends
-/// share the scalar implementation; conv3x3 and conv3x3_s8 are null when the
-/// backend has no fused path and callers must lower through im2col.
+/// share the scalar implementation; conv3x3, conv3x3_s8 and deconv3x3_s2 are
+/// null when the backend has no fused path and callers must lower through
+/// im2col (or gemm_tn + col2im for the transposed conv).
 struct KernelTable {
   KernelBackend backend = KernelBackend::kScalar;
   GemmFn gemm_nn = nullptr;
@@ -140,6 +162,7 @@ struct KernelTable {
   Conv3x3Fn conv3x3 = nullptr;
   GemmS8Fn gemm_s8 = nullptr;  ///< int8 x int8 -> int32 (quantized conv)
   Conv3x3S8Fn conv3x3_s8 = nullptr;
+  Deconv3x3Fn deconv3x3_s2 = nullptr;  ///< stride-2 transposed 3x3 conv
 };
 
 /// The kernel table for active_backend().
@@ -154,5 +177,11 @@ bool conv3x3_fused(const Conv3x3Args& args);
 /// kernel when the active backend has one, else returns false and the caller
 /// lowers through quantize, im2col and gemm_s8.
 bool conv3x3_s8_fused(const Conv3x3S8Args& args);
+
+/// Run the fused stride-2 transposed 3x3 convolution if the active backend
+/// has one; returns false when the caller must lower through gemm_tn and
+/// col2im. Only the Deconv3x3Args shape (stride 2, pad 1, output_padding 1)
+/// qualifies; the caller checks it.
+bool deconv3x3_fused(const Deconv3x3Args& args);
 
 }  // namespace pdnn::linalg

@@ -348,22 +348,44 @@ Var conv_transpose2d(const Var& x, const Var& w, const Var& b, int stride,
   Tensor out({n, cout, ho, wo});
 
   // Per-sample output slices are disjoint; fan the batch out across the pool.
+  // The paper net's deconv shape (3x3, stride 2, pad 1, output_padding 1)
+  // takes the registry's fused gather kernel, which computes the identical
+  // bits to gemm_tn + col2im_acc without the column buffer;
+  // deconv3x3_fused() returns false (and we lower classically) when the
+  // active backend has none.
+  const bool fusable = kh == 3 && kw == 3 && stride == 2 && pad == 1 &&
+                       output_padding == 1;
   obs::TraceSpan fwd_span("convT.forward", "batch", n);
   util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float>& col = scratch_a();
-    col.resize(static_cast<std::size_t>(ckk) * hw);
-    note_im2col_bytes(col);
     for (std::int64_t bidx = b0; bidx < b1; ++bidx) {
       const float* src = xv.data() + bidx * cin * hw;
       float* dst = out.data() + bidx * cout * out_hw;
-      // col (CKK x HW) = W^T (CKK x Cin) * x (Cin x HW); W viewed Cin x CKK.
-      linalg::gemm_tn(ckk, static_cast<int>(hw), cin, 1.0f, wv.data(), ckk,
-                      src, static_cast<int>(hw), 0.0f, col.data(),
-                      static_cast<int>(hw));
-      // Scatter columns into the output image: image geometry (ho x wo),
-      // column grid = input geometry (h x wd). Zero padding by construction.
-      col2im_acc(col.data(), cout, ho, wo, kh, kw, stride, pad, PadMode::kZero,
-                 h, wd, dst);
+      bool fused = false;
+      if (fusable) {
+        linalg::Deconv3x3Args fargs;
+        fargs.src = src;
+        fargs.weights = wv.data();
+        fargs.dst = dst;
+        fargs.cin = cin;
+        fargs.h = h;
+        fargs.w = wd;
+        fargs.cout = cout;
+        fused = linalg::deconv3x3_fused(fargs);
+      }
+      if (!fused) {
+        std::vector<float>& col = scratch_a();
+        col.resize(static_cast<std::size_t>(ckk) * hw);
+        note_im2col_bytes(col);
+        // col (CKK x HW) = W^T (CKK x Cin) * x (Cin x HW); W viewed Cin x CKK.
+        linalg::gemm_tn(ckk, static_cast<int>(hw), cin, 1.0f, wv.data(), ckk,
+                        src, static_cast<int>(hw), 0.0f, col.data(),
+                        static_cast<int>(hw));
+        // Scatter columns into the output image: image geometry (ho x wo),
+        // column grid = input geometry (h x wd). Zero padding by
+        // construction.
+        col2im_acc(col.data(), cout, ho, wo, kh, kw, stride, pad,
+                   PadMode::kZero, h, wd, dst);
+      }
       for (int co = 0; co < cout; ++co) {
         const float bias = bv.data()[co];
         float* row = dst + static_cast<std::int64_t>(co) * out_hw;

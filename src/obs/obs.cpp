@@ -169,6 +169,7 @@ constexpr std::array<CounterSpec, kCounterCount> kCounterSpecs = {{
     {"conv.im2col_bytes_max", true},
     {"conv.fused", false},
     {"conv.fused_s8", false},
+    {"conv.fused_deconv", false},
     {"sim.traces", false},
     {"sim.steps", false},
     {"sim.batch_width_max", true},

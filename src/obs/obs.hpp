@@ -55,6 +55,7 @@ enum class Counter : int {
   kConvIm2colBytesMax,  ///< largest per-thread im2col scratch buffer
   kConvFusedCalls,      ///< conv samples computed by the fused 3x3 path
   kConvFusedS8Calls,    ///< int8 conv samples computed by the fused 3x3 path
+  kConvFusedDeconvCalls,///< deconv samples computed by the fused 3x3 path
   kSimTraces,           ///< transient traces solved
   kSimSteps,            ///< backward-Euler steps across all traces
   kSimBatchWidthMax,    ///< widest lockstep transient batch

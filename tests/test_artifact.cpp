@@ -1,7 +1,7 @@
 // PDNB artifact container tests: round-trip bit-identity of predictions,
 // header peeking, and the error paths (truncation, bad magic, tampered
-// dimensions, architecture mismatch) — each failure must name the file and
-// the offending field or parameter.
+// dimensions, an artifact on another design's grid) — each failure must
+// name the file and the offending field or parameter, or both values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,10 +9,13 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/artifact.hpp"
 #include "core/model.hpp"
+#include "core/pipeline.hpp"
+#include "pdn/power_grid.hpp"
 #include "nn/tensor.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -227,34 +230,61 @@ TEST(Artifact, InflatedTileRowsFailToLoad) {
   EXPECT_NE(what.find("'tile_rows'"), std::string::npos) << what;
 }
 
-TEST(Artifact, LoadModelRejectsArchitectureMismatch) {
-  TempFile file("artifact_arch.pdnb");
-  {
-    WorstCaseNoiseNet model(tiny_config());
-    core::save_model(model, file.path);
-  }
-  ModelConfig other = tiny_config();
-  other.distance_channels = 7;
-  WorstCaseNoiseNet target(other);
-  try {
-    core::load_model(target, file.path);
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("architecture mismatch"),
-              std::string::npos);
+TEST(Artifact, PipelineRejectsArchitectureMismatch) {
+  // tiny_config's 6 x 5 tiles on a 6 x 6 grid, and 7 distance channels on
+  // a grid with another bump count: each must fail naming both values.
+  pdn::DesignSpec spec;
+  spec.name = "six";
+  spec.tile_rows = 6;
+  spec.tile_cols = 6;
+  spec.nodes_per_tile = 2;
+  spec.top_stride = 3;
+  spec.bump_pitch = 2;
+  spec.num_loads = 12;
+  spec.seed = 3;
+  const pdn::PowerGrid grid(spec);
+  const int bumps = static_cast<int>(grid.bumps().size());
+  ASSERT_NE(bumps, 7);
+
+  ModelConfig tiles = tiny_config();
+  tiles.distance_channels = bumps;
+  ModelConfig channels = tiny_config();
+  channels.distance_channels = 7;
+  channels.tile_cols = 6;
+  const std::pair<ModelConfig, std::vector<std::string>> cases[] = {
+      {tiles, {"6 x 5", "6 x 6"}},
+      {channels, {"distance_channels 7", "bumps " + std::to_string(bumps)}}};
+  for (const auto& [cfg, named] : cases) {
+    TempFile file("artifact_arch.pdnb");
+    {
+      WorstCaseNoiseNet model(cfg);
+      core::save_artifact(model, core::TemporalCompressionOptions{},
+                          file.path);
+    }
+    const core::ModelArtifact loaded = core::load_artifact(file.path);
+    try {
+      core::WorstCasePipeline(grid, *loaded.model, core::PipelineOptions{});
+      FAIL() << "expected CheckError";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("architecture mismatch"), std::string::npos);
+      for (const std::string& value : named) {
+        EXPECT_NE(what.find(value), std::string::npos) << what;
+      }
+    }
   }
 }
 
-TEST(Artifact, SaveModelShimRoundTrips) {
+TEST(Artifact, SavePeekLoadRoundTrips) {
   const ModelConfig cfg = tiny_config();
   WorstCaseNoiseNet model(cfg);
-  TempFile file("artifact_shim.pdnb");
-  core::save_model(model, file.path);
+  TempFile file("artifact_save_peek.pdnb");
+  core::save_artifact(model, core::TemporalCompressionOptions{}, file.path);
 
-  EXPECT_EQ(core::peek_model_config(file.path).distance_channels,
+  EXPECT_EQ(core::peek_artifact(file.path).config.distance_channels,
             cfg.distance_channels);
-  WorstCaseNoiseNet target(cfg);
-  core::load_model(target, file.path);
+  const core::ModelArtifact loaded = core::load_artifact(file.path);
+  const WorstCaseNoiseNet& target = *loaded.model;
 
   const Tensor distance =
       random_tensor({1, cfg.distance_channels, cfg.tile_rows, cfg.tile_cols},

@@ -1,12 +1,16 @@
 // Architecture tests for the three-subnet model: shapes on awkward (odd,
 // non-square) tile grids, variable-length time axes, determinism, gradient
-// flow, and model save/load.
+// flow, and the artifact round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
+#include "core/artifact.hpp"
 #include "core/model.hpp"
+#include "core/pipeline.hpp"
+#include "pdn/power_grid.hpp"
 #include "nn/optimizer.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -153,14 +157,14 @@ TEST(Model, SaveLoadRoundTripReproducesOutputs) {
     opt.step();
   }
   const std::string path = testing::TempDir() + "/model.bin";
-  core::save_model(a, path);
+  core::save_artifact(a, core::TemporalCompressionOptions{}, path);
 
-  const ModelConfig peeked = core::peek_model_config(path);
+  const ModelConfig peeked = core::peek_artifact(path).config;
   EXPECT_EQ(peeked.distance_channels, 5);
   EXPECT_EQ(peeked.tile_rows, 9);
 
-  WorstCaseNoiseNet b(cfg);
-  core::load_model(b, path);
+  const core::ModelArtifact loaded = core::load_artifact(path);
+  const WorstCaseNoiseNet& b = *loaded.model;
   const Tensor distance = random_tensor({1, 5, 9, 9}, 14);
   const Tensor currents = random_tensor({3, 1, 9, 9}, 15);
   const Var ya = a.forward(Var(distance), Var(currents));
@@ -171,11 +175,26 @@ TEST(Model, SaveLoadRoundTripReproducesOutputs) {
 }
 
 TEST(Model, LoadRejectsWrongArchitecture) {
-  WorstCaseNoiseNet a(config_for(5, 9, 9));
+  // An artifact stores its own architecture, so the mismatch shows where it
+  // meets a design: one bump more than the 9 x 9 grid has.
+  pdn::DesignSpec spec;
+  spec.name = "nine";
+  spec.tile_rows = 9;
+  spec.tile_cols = 9;
+  spec.nodes_per_tile = 2;
+  spec.top_stride = 3;
+  spec.bump_pitch = 2;
+  spec.num_loads = 12;
+  spec.seed = 5;
+  const pdn::PowerGrid grid(spec);
+  const int bumps = static_cast<int>(grid.bumps().size());
+  WorstCaseNoiseNet a(config_for(bumps + 1, 9, 9));
   const std::string path = testing::TempDir() + "/model2.bin";
-  core::save_model(a, path);
-  WorstCaseNoiseNet wrong(config_for(6, 9, 9));
-  EXPECT_THROW(core::load_model(wrong, path), util::CheckError);
+  core::save_artifact(a, core::TemporalCompressionOptions{}, path);
+  const core::ModelArtifact loaded = core::load_artifact(path);
+  EXPECT_THROW(
+      core::WorstCasePipeline(grid, *loaded.model, core::PipelineOptions{}),
+      util::CheckError);
 }
 
 TEST(Model, RejectsMalformedInputs) {

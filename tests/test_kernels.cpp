@@ -143,6 +143,14 @@ TEST(Kernels, ScalarTableHasNoFusedConvPath) {
   EXPECT_FALSE(linalg::conv3x3_fused(args));
 }
 
+TEST(Kernels, ScalarTableHasNoFusedDeconv) {
+  ForcedBackend forced(KernelBackend::kScalar);
+  linalg::Deconv3x3Args args;  // null pointers: must not be touched
+  args.cin = args.cout = 1;
+  args.h = args.w = 4;
+  EXPECT_FALSE(linalg::deconv3x3_fused(args));
+}
+
 TEST(Kernels, ScalarTableHasNoFusedS8ConvPath) {
   ForcedBackend forced(KernelBackend::kScalar);
   linalg::Conv3x3S8Args args;  // null pointers: must not be touched
@@ -526,6 +534,142 @@ TEST(Kernels, ConvFusedBitStableAcrossThreadCounts) {
       util::ThreadPool::set_global_threads(0);
       EXPECT_TRUE(bitwise_equal(one, four))
           << linalg::backend_name(backend) << " " << describe(cc);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused stride-2 transposed conv vs the gemm_tn + col2im lowering
+// ---------------------------------------------------------------------------
+
+struct DeconvCase {
+  int cin, cout, h, w;
+};
+
+std::string describe(const DeconvCase& dc) {
+  return "deconv " + std::to_string(dc.cin) + "->" + std::to_string(dc.cout) +
+         " " + std::to_string(dc.h) + "x" + std::to_string(dc.w);
+}
+
+/// Input poison for run_deconv: `value` at (channel, row, col) of sample 0.
+struct Poison {
+  float value;
+  int channel, row, col;
+};
+
+/// nn::conv_transpose2d (3x3, stride 2, pad 1, output_padding 1) under a
+/// forced backend: the scalar table lowers through gemm_tn + col2im_acc,
+/// AVX2 runs the fused gather kernel. `poisons` overwrite input pixels;
+/// `weight_poison`, when nonzero, overwrites the kj = 0 taps of every kernel
+/// row of w[ci = 0][co = 0] (the taps the last output column skips; ki = 0
+/// is also the one the last output row skips), and its negation goes to the
+/// same taps of the last input channel's weights for the last output
+/// channel.
+std::vector<float> run_deconv(const DeconvCase& dc, KernelBackend backend,
+                              int batch,
+                              const std::vector<Poison>& poisons = {},
+                              float weight_poison = 0.0f) {
+  ForcedBackend forced(backend);
+  Tensor x({batch, dc.cin, dc.h, dc.w});
+  Tensor w({dc.cin, dc.cout, 3, 3});
+  Tensor b({dc.cout});
+  const std::vector<float> xs =
+      random_vec(static_cast<std::size_t>(x.numel()), 83);
+  const std::vector<float> ws =
+      random_vec(static_cast<std::size_t>(w.numel()), 89);
+  const std::vector<float> bs =
+      random_vec(static_cast<std::size_t>(b.numel()), 97);
+  std::copy(xs.begin(), xs.end(), x.data());
+  std::copy(ws.begin(), ws.end(), w.data());
+  std::copy(bs.begin(), bs.end(), b.data());
+  for (const Poison& p : poisons) {
+    x.data()[(static_cast<std::int64_t>(p.channel) * dc.h + p.row) * dc.w +
+             p.col] = p.value;
+  }
+  if (weight_poison != 0.0f) {
+    const std::int64_t last =
+        (static_cast<std::int64_t>(dc.cin - 1) * dc.cout + dc.cout - 1) * 9;
+    for (const int tap : {0, 3, 6}) {
+      w.data()[tap] = weight_poison;
+      w.data()[last + tap] = -weight_poison;
+    }
+  }
+  nn::NoGradGuard guard;
+  const Var y = nn::conv_transpose2d(Var(x), Var(w), Var(b), 2, 1, 1);
+  return std::vector<float>(y.value().data(),
+                            y.value().data() + y.value().numel());
+}
+
+TEST(Kernels, DeconvFusedMatchesFallbackEveryTail) {
+  SKIP_WITHOUT_AVX2();
+  // Every input h and w in 1..33: each 8-column tile, every masked tail and
+  // last-column lane, and the last-row branch; cin and cout cover a lone
+  // channel, the 4-channel block and its remainders, and the paper net's 8
+  // and 16.
+  const int channels[] = {1, 2, 3, 8, 16};
+  for (int h = 1; h <= 33; ++h) {
+    for (int w = 1; w <= 33; ++w) {
+      for (const int cin : channels) {
+        for (const int cout : channels) {
+          const DeconvCase dc = {cin, cout, h, w};
+          const auto scalar = run_deconv(dc, KernelBackend::kScalar, 1);
+          const auto avx2 = run_deconv(dc, KernelBackend::kAvx2, 1);
+          ASSERT_TRUE(bitwise_equal(scalar, avx2)) << describe(dc);
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, DeconvFusedNonFiniteInputsMatchFallback) {
+  SKIP_WITHOUT_AVX2();
+  // NaN, +inf and -inf pixels in the last input row and column reach the
+  // outputs whose taps the kernel skips or blends; inf weights on the
+  // kj = 0 taps, which the last output column skips (and ki = 0, which the
+  // last output row skips), must add nothing there (a zero halo would turn
+  // them into NaN). One non-finite value
+  // per run: where two NaNs meet, which one a sum returns depends on operand
+  // order, which the scalar code leaves to the compiler.
+  const float values[] = {std::nanf(""), INFINITY, -INFINITY};
+  for (int h = 1; h <= 33; ++h) {
+    for (int w = 1; w <= 33; ++w) {
+      const DeconvCase dc = {3, 5, h, w};
+      const Poison poisons[] = {{values[(h + w) % 3], 1, h / 2, w - 1},
+                                {values[(h + w + 1) % 3], 2, h - 1, w / 2},
+                                {values[(h + w + 2) % 3], 0, h - 1, w - 1}};
+      for (const Poison& p : poisons) {
+        const auto scalar = run_deconv(dc, KernelBackend::kScalar, 1, {p});
+        const auto avx2 = run_deconv(dc, KernelBackend::kAvx2, 1, {p});
+        ASSERT_TRUE(bitwise_equal(scalar, avx2))
+            << describe(dc) << " pixel " << p.value << " at channel "
+            << p.channel << " (" << p.row << ", " << p.col << ")";
+      }
+      const auto scalar_w =
+          run_deconv(dc, KernelBackend::kScalar, 1, {}, INFINITY);
+      const auto avx2_w = run_deconv(dc, KernelBackend::kAvx2, 1, {}, INFINITY);
+      ASSERT_TRUE(bitwise_equal(scalar_w, avx2_w))
+          << describe(dc) << " inf weight";
+    }
+  }
+}
+
+TEST(Kernels, DeconvFusedBitStableAcrossThreadCounts) {
+  // A batch of 6 samples fans out over the pool; each sample's map must not
+  // depend on which worker ran it. The shapes are fusion_net.dec1 and the
+  // prediction net's up1 / up2 at D4's size, plus a ragged one.
+  const DeconvCase cases[] = {
+      {8, 8, 16, 16}, {16, 16, 8, 8}, {16, 16, 16, 16}, {3, 5, 7, 13}};
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (!linalg::backend_supported(backend)) continue;
+    for (const DeconvCase& dc : cases) {
+      util::ThreadPool::set_global_threads(1);
+      const auto one = run_deconv(dc, backend, 6);
+      util::ThreadPool::set_global_threads(4);
+      const auto four = run_deconv(dc, backend, 6);
+      util::ThreadPool::set_global_threads(0);
+      EXPECT_TRUE(bitwise_equal(one, four))
+          << linalg::backend_name(backend) << " " << describe(dc);
     }
   }
 }

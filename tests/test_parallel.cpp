@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -225,23 +227,28 @@ TEST(ParallelConv, ForwardAndGradsBitIdentical) {
   }
 }
 
-ConvRun run_conv_transpose(int threads) {
+/// Stride-2 transposed conv, forward then backward. pad 0 / output_padding 0
+/// lowers through gemm_tn + col2im; pad 1 / output_padding 1 is the paper
+/// net's shape and takes the fused kernel on backends that have one. y holds
+/// the forward map, not just the loss.
+ConvRun run_conv_transpose(int threads, int pad, int output_padding) {
   PoolGuard guard(threads);
   util::Rng rng(33);
   const Tensor x = random_tensor({4, 3, 5, 5}, rng);
   const Tensor w = random_tensor({3, 2, 3, 3}, rng);
   const Tensor b = random_tensor({2}, rng);
-  const Tensor target = random_tensor({4, 2, 11, 11}, rng);  // (5-1)*2+3
+  const int out = nn::conv_transpose_out_size(5, 3, 2, pad, output_padding);
+  const Tensor target = random_tensor({4, 2, out, out}, rng);
 
   Var vx(x.clone(), true);
   Var vw(w.clone(), true);
   Var vb(b.clone(), true);
-  Var loss =
-      nn::l1_loss(nn::conv_transpose2d(vx, vw, vb, 2, 0, 0), target);
+  const Var y = nn::conv_transpose2d(vx, vw, vb, 2, pad, output_padding);
+  Var loss = nn::l1_loss(y, target);
   loss.backward();
 
   ConvRun r;
-  r.y = loss.value().clone();
+  r.y = y.value().clone();
   r.gx = vx.node()->grad.clone();
   r.gw = vw.node()->grad.clone();
   r.gb = vb.node()->grad.clone();
@@ -249,16 +256,26 @@ ConvRun run_conv_transpose(int threads) {
 }
 
 TEST(ParallelConv, TransposeForwardAndGradsBitIdentical) {
-  const ConvRun serial = run_conv_transpose(1);
-  const ConvRun par = run_conv_transpose(4);
-  EXPECT_TRUE(bit_equal(serial.y.data(), par.y.data(),
-                        static_cast<std::size_t>(serial.y.numel())));
-  EXPECT_TRUE(bit_equal(serial.gx.data(), par.gx.data(),
-                        static_cast<std::size_t>(serial.gx.numel())));
-  EXPECT_TRUE(bit_equal(serial.gw.data(), par.gw.data(),
-                        static_cast<std::size_t>(serial.gw.numel())));
-  EXPECT_TRUE(bit_equal(serial.gb.data(), par.gb.data(),
-                        static_cast<std::size_t>(serial.gb.numel())));
+  for (const auto& [pad, output_padding] :
+       {std::pair{0, 0}, std::pair{1, 1}}) {
+    const ConvRun serial = run_conv_transpose(1, pad, output_padding);
+    const ConvRun par = run_conv_transpose(4, pad, output_padding);
+    const std::string label = "pad " + std::to_string(pad) +
+                              ", output_padding " +
+                              std::to_string(output_padding);
+    EXPECT_TRUE(bit_equal(serial.y.data(), par.y.data(),
+                          static_cast<std::size_t>(serial.y.numel())))
+        << "y, " << label;
+    EXPECT_TRUE(bit_equal(serial.gx.data(), par.gx.data(),
+                          static_cast<std::size_t>(serial.gx.numel())))
+        << "dX, " << label;
+    EXPECT_TRUE(bit_equal(serial.gw.data(), par.gw.data(),
+                          static_cast<std::size_t>(serial.gw.numel())))
+        << "dW, " << label;
+    EXPECT_TRUE(bit_equal(serial.gb.data(), par.gb.data(),
+                          static_cast<std::size_t>(serial.gb.numel())))
+        << "db, " << label;
+  }
 }
 
 TEST(ParallelConv, GradcheckThroughParallelPath) {

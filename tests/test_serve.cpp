@@ -383,6 +383,34 @@ TEST(ServeServer, RejectsUnknownDesignAndPeekedArtifacts) {
                util::CheckError);
 }
 
+/// A second design: the fixture's spec on an 8 x 8 tile grid.
+pdn::DesignSpec other_spec() {
+  pdn::DesignSpec s = tiny_spec();
+  s.name = "other";
+  s.tile_rows = 8;
+  s.tile_cols = 8;
+  return s;
+}
+
+TEST(ServeServer, AddDesignRejectsAnotherDesignsArtifact) {
+  Fixture f(1);
+  const pdn::PowerGrid other(other_spec());
+  serve::NoiseServer server;
+  try {
+    server.add_design("other", other, f.artifact());
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("6 x 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("8 x 8"), std::string::npos) << what;
+  }
+  // Nothing was registered: the next design still gets the first id.
+  const serve::DesignId id = server.add_design("tiny", f.grid, f.artifact());
+  EXPECT_EQ(id.value, 0);
+  EXPECT_EQ(server.predict(id, f.traces.front()).status, serve::Status::kOk);
+  server.shutdown();
+}
+
 TEST(ServeServer, DefaultResponseAndTicketAreInvalidUntilServed) {
   const serve::Response response;
   EXPECT_EQ(response.status, serve::Status::kInvalid);
@@ -673,6 +701,37 @@ TEST(SwapServer, CrossDtypeSwapRequiresExplicitTolerance) {
   EXPECT_EQ(server.predict(id, f.traces.front()).status, serve::Status::kOk);
   server.shutdown();
   std::remove(path.c_str());
+}
+
+TEST(SwapServer, AnotherDesignsArtifactIsRejectedBeforeSwapStateChanges) {
+  Fixture f(2);
+  serve::ServeOptions options;
+  options.canary_fraction = 1.0;
+  serve::NoiseServer server(options);
+  const serve::DesignId id = server.add_design("tiny", f.grid, f.artifact());
+
+  // An artifact trained for the 8 x 8 design, offered for the 6 x 6 one.
+  const pdn::PowerGrid other(other_spec());
+  core::ModelConfig config = f.config;
+  config.distance_channels = static_cast<int>(other.bumps().size());
+  config.tile_rows = 8;
+  config.tile_cols = 8;
+  core::WorstCaseNoiseNet model(config);
+  const std::string path = f.artifact_file(model, "other");
+  try {
+    server.swap_artifact(id, path);
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("8 x 8"), std::string::npos) << what;
+    EXPECT_NE(what.find("6 x 6"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(server.swap_report(id).state, serve::SwapState::kNone);
+  const serve::Response r = server.predict(id, f.traces.front());
+  ASSERT_EQ(r.status, serve::Status::kOk);
+  EXPECT_TRUE(maps_equal(r.noise, f.pipeline().predict(f.traces.front())));
+  server.shutdown();
 }
 
 TEST(SwapServer, CrossDtypeCanaryPromotesWithinToleranceThenServesInt8Bits) {
