@@ -2,6 +2,10 @@
 // DESIGN.md §6.3): sparse solver comparison, CNN kernel throughput,
 // Algorithm 1 cost, and the golden engine's per-step cost.
 #include <benchmark/benchmark.h>
+#include <time.h>
+
+#include <algorithm>
+#include <thread>
 
 #include "core/dataset.hpp"
 #include "core/spatial.hpp"
@@ -382,6 +386,67 @@ void BM_Conv2dBatchThreads(benchmark::State& state) {
   util::ThreadPool::set_global_threads(0);
 }
 BENCHMARK(BM_Conv2dBatchThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Cost of one pool region, the figure util::kMinChunkFlops is sized from.
+// Each region runs kChunks chunks; a chunk is empty (samples = 0) or runs a
+// 3x3 8->8 conv over `samples` 16x16 samples (295 kflop each), the layer
+// shape the fusion subnet runs depth-first. Wall time per region is the
+// benchmark time; cpu_us is process CPU per region (CLOCK_PROCESS_CPUTIME_ID,
+// so pool workers count too). Width 1 is the serial reference: the extra
+// CPU at width w over width 1 is what the region's dispatch costs.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+void BM_PoolRegion(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const int samples = static_cast<int>(state.range(1));
+  constexpr int kChunks = 8;
+  constexpr int kHw = 16;
+  util::ThreadPool::set_global_threads(threads);
+  util::Rng rng(17);
+  nn::Conv2d conv(8, 8, 3, 1, 1, nn::PadMode::kReplicate, rng);
+  nn::Tensor x({samples > 0 ? samples : 1, 8, kHw, kHw});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.uniform());
+  }
+  const nn::Var input(x);
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const double cpu0 = process_cpu_seconds();
+  for (auto _ : state) {
+    pool.run(kChunks, [&](std::int64_t c) {
+      if (samples == 0) {
+        benchmark::DoNotOptimize(c);
+        return;
+      }
+      nn::NoGradGuard guard;
+      const nn::Var y = conv.forward(input);
+      benchmark::DoNotOptimize(y.value().data());
+    });
+    benchmark::ClobberMemory();
+  }
+  const double cpu1 = process_cpu_seconds();
+  const double flops_per_chunk = 2.0 * 9 * 8 * 8 * kHw * kHw * samples;
+  state.counters["cpu_us"] =
+      (cpu1 - cpu0) * 1e6 / static_cast<double>(state.iterations());
+  state.counters["kflop_per_chunk"] = flops_per_chunk * 1e-3;
+  state.SetLabel(std::to_string(kChunks) + " chunks x " +
+                 std::to_string(samples) + " samples, " +
+                 std::to_string(threads) + " threads");
+  util::ThreadPool::set_global_threads(0);
+}
+BENCHMARK(BM_PoolRegion)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      const int widths =
+          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+      for (int w = 1; w <= widths; ++w) {
+        for (int samples : {0, 1, 4, 16}) b->Args({w, samples});
+      }
+    })
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DatasetGenD2Threads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

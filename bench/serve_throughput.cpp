@@ -316,11 +316,8 @@ int main(int argc, char** argv) {
   traces.reserve(static_cast<std::size_t>(total_requests));
   for (int i = 0; i < total_requests; ++i) traces.push_back(gen.generate());
 
-  // 3) Two single-client baselines, measured on one thread:
-  //      serial      — the redesigned predict(): cached distance reduction,
-  //                    the reference bits for every fleet run.
-  //      serial-seed — the pre-artifact per-request flow, which re-reduced
-  //                    the distance tensor through subnet 1 on every call.
+  // 3) Single-client baseline, measured on one thread: serial predict() with
+  //    the cached distance reduction, the reference bits for every fleet run.
   const core::WorstCasePipeline pipeline(
       *ex.grid, *artifact.model, core::PipelineOptions{artifact.temporal});
   std::vector<util::MapF> expected(static_cast<std::size_t>(total_requests));
@@ -332,19 +329,6 @@ int main(int argc, char** argv) {
   }
   const double serial_seconds = serial_timer.lap("bench.serve_serial");
   const double serial_rps = total_requests / serial_seconds;
-
-  serial_timer.reset();
-  {
-    nn::NoGradGuard no_grad;
-    const nn::Var dist{pipeline.distance()};
-    for (int i = 0; i < total_requests; ++i) {
-      const core::PreparedRequest req =
-          pipeline.prepare(traces[static_cast<std::size_t>(i)]);
-      artifact.model->forward(dist, nn::Var(req.currents));
-    }
-  }
-  const double seed_seconds = serial_timer.lap("bench.serve_serial_seed");
-  const double seed_rps = total_requests / seed_seconds;
 
   // Int8 serial baseline: the quantized pipeline's own reference bits (the
   // int8 fleet runs and the post-swap maps are verified against these) and
@@ -366,7 +350,6 @@ int main(int argc, char** argv) {
 
   metrics.lap("serial_baseline");
   metrics.set("serial_requests_per_second", serial_rps);
-  metrics.set("serial_seed_requests_per_second", seed_rps);
   metrics.set("serial_int8_requests_per_second", serial_int8_rps);
   metrics.set("hardware_threads",
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
@@ -380,8 +363,6 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %10s %8s %7s %7s %7s %7s %7s\n", "mode", "seconds",
               "req/s", "speedup", "batches", "p50ms", "p95ms", "p99ms",
               "maxms");
-  std::printf("%-16s %10.4f %10.2f %8s %7s %7s %7s %7s %7s\n", "serial-seed",
-              seed_seconds, seed_rps, "-", "-", "-", "-", "-", "-");
   std::printf("%-16s %10.4f %10.2f %8s %7s %7s %7s %7s %7s\n", "serial",
               serial_seconds, serial_rps, "1.00", "-", "-", "-", "-", "-");
   std::printf("%-16s %10.4f %10.2f %8.2f %7s %7s %7s %7s %7s\n", "serial-int8",
@@ -511,7 +492,6 @@ int main(int argc, char** argv) {
       run.set("seconds", seconds);
       run.set("requests_per_second", rps);
       run.set("speedup_vs_serial", speedup);
-      run.set("speedup_vs_serial_seed", rps / seed_rps);
       run.set("batches", stats.batches);
       run.set("batch_width_max", stats.batch_width_max);
       run.set("queue_depth_max", stats.queue_depth_max);

@@ -1,11 +1,59 @@
 #include "core/model.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pdnn::core {
 
 using nn::PadMode;
+using nn::Tensor;
 using nn::Var;
+
+namespace {
+
+/// Flops of one sample through a 3x3 layer: 2 * 9 * cin * cout per position
+/// of a conv's output grid, or of a transposed conv's input grid.
+std::int64_t conv3x3_flops(int cin, int cout, int h, int w) {
+  return std::int64_t{18} * cin * cout * h * w;
+}
+
+/// Side of a stride-2, pad-1 3x3 conv's output.
+int half(int side) { return nn::conv_out_size(side, 3, 2, 1); }
+
+/// Inference forward of a subnet whose batch samples are independent, run
+/// depth-first: one parallel_for over fixed chunks of samples, each sized
+/// from the shape to carry at least util::kMinChunkFlops, and each carrying
+/// its samples through every layer into a disjoint slice of the output.
+/// The partition depends on the shape alone and each sample's convs run
+/// alone, so the bytes equal net.forward(x) at any pool width. A pass that
+/// fits in one chunk runs inline, with no layer fanning out either.
+template <typename Net>
+Var forward_depth_first(const Net& net, const Var& x) {
+  const Tensor& xv = x.value();
+  const int n = xv.n();
+  const std::int64_t grain =
+      util::grain_for_flops(net.flops_per_sample(xv.h(), xv.w()));
+  if (n <= grain) {
+    const util::SerialScope serial;
+    return net.forward(x);
+  }
+  Tensor out({n, net.out_channels(), xv.h(), xv.w()});
+  const std::int64_t sample = out.numel() / n;
+  util::parallel_for(n, grain, [&](std::int64_t b0, std::int64_t b1) {
+    // The guard's depth is thread_local: without its own guard a worker
+    // would record a tape, and a quantized conv would throw.
+    nn::NoGradGuard no_grad;
+    const Var y = net.forward(Var(xv.narrow_n(static_cast<int>(b0),
+                                              static_cast<int>(b1 - b0))));
+    std::copy(y.value().data(), y.value().data() + y.value().numel(),
+              out.data() + b0 * sample);
+  });
+  return Var(out);
+}
+
+}  // namespace
 
 UNet2::UNet2(int in_channels, int channels, int out_channels, util::Rng& rng)
     : in_conv_(in_channels, channels, 3, 1, 1, PadMode::kReplicate, rng),
@@ -49,6 +97,20 @@ Var UNet2::forward(const Var& x) const {
   return out_conv_.forward(m2);  // linear output layer
 }
 
+std::int64_t UNet2::flops_per_sample(int h, int w) const {
+  const int cin = in_conv_.in_channels();
+  const int c = in_conv_.out_channels();
+  const int h1 = half(h), w1 = half(w);
+  const int h2 = half(h1), w2 = half(w1);
+  return conv3x3_flops(cin, c, h, w) +              // in_conv
+         2 * conv3x3_flops(c, c, h1, w1) +          // down1_a, down1_b
+         3 * conv3x3_flops(c, c, h2, w2) +          // down2_a, down2_b, up1
+         conv3x3_flops(2 * c, c, h1, w1) +          // up1_conv
+         conv3x3_flops(c, c, h1, w1) +              // up2
+         conv3x3_flops(2 * c, c, h, w) +            // up2_conv
+         conv3x3_flops(c, out_channels(), h, w);    // out_conv
+}
+
 FusionNet::FusionNet(int channels, util::Rng& rng)
     : enc1_(1, channels, 3, 1, 1, PadMode::kReplicate, rng),
       enc2_(channels, channels, 3, 2, 1, PadMode::kReplicate, rng),
@@ -68,6 +130,13 @@ Var FusionNet::forward(const Var& x) const {
   y = nn::relu(dec1_.forward(y));
   y = nn::crop2d(y, h, w);
   return dec2_.forward(y);  // linear output layer
+}
+
+std::int64_t FusionNet::flops_per_sample(int h, int w) const {
+  const int c = enc1_.out_channels();
+  return conv3x3_flops(1, c, h, w) +                     // enc1
+         2 * conv3x3_flops(c, c, half(h), half(w)) +     // enc2, dec1
+         conv3x3_flops(c, out_channels(), h, w);         // dec2
 }
 
 WorstCaseNoiseNet::WorstCaseNoiseNet(const ModelConfig& config)
@@ -104,7 +173,8 @@ Var WorstCaseNoiseNet::reduce_distance(const Var& distance) const {
 Var WorstCaseNoiseNet::fuse_currents(const Var& currents) const {
   PDN_CHECK(currents.value().ndim() == 4 && currents.value().c() == 1,
             "forward: currents tensor must be [T,1,m,n]");
-  return fusion_net_.forward(currents);
+  if (nn::NoGradGuard::enabled()) return fusion_net_.forward(currents);
+  return forward_depth_first(fusion_net_, currents);
 }
 
 Var WorstCaseNoiseNet::temporal_stats(const Var& fused) {
@@ -118,7 +188,8 @@ Var WorstCaseNoiseNet::temporal_stats(const Var& fused) {
 Var WorstCaseNoiseNet::predict_noise(const Var& stacked) const {
   PDN_CHECK(stacked.value().ndim() == 4 && stacked.value().c() == 4,
             "forward: feature stack must be [N,4,m,n]");
-  return prediction_net_.forward(stacked);
+  if (nn::NoGradGuard::enabled()) return prediction_net_.forward(stacked);
+  return forward_depth_first(prediction_net_, stacked);
 }
 
 }  // namespace pdnn::core

@@ -1,7 +1,6 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -76,18 +75,6 @@ void load_parameters(const std::vector<Parameter*>& params, std::istream& in,
     PDN_CHECK(in.good(), "load_parameters: truncated weight data for " + name +
                              " in " + context);
   }
-}
-
-void save_parameters(std::vector<Parameter*> params, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PDN_CHECK(out.good(), "save_parameters: cannot open " + path);
-  save_parameters(params, out, path);
-}
-
-void load_parameters(std::vector<Parameter*> params, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PDN_CHECK(in.good(), "load_parameters: cannot open " + path);
-  load_parameters(params, in, path);
 }
 
 }  // namespace pdnn::nn

@@ -5,10 +5,10 @@
 // verifies names and shapes against the module's registration order, so a
 // weight file cannot silently attach to the wrong architecture.
 //
-// The stream overloads serialize the same "PDNW" block into the middle of a
-// larger container — core::save_artifact embeds it after the model/compressor
-// header so a checkpoint is one self-describing file. `context` labels error
-// messages (a path for the file overloads, the container path otherwise).
+// The block is read and written at a stream's current position, in the
+// middle of a larger container — core::save_artifact embeds it after the
+// model/compressor header so a checkpoint is one self-describing file.
+// `context` labels error messages (the container's path).
 #pragma once
 
 #include <iosfwd>
@@ -28,12 +28,5 @@ void save_parameters(const std::vector<Parameter*>& params, std::ostream& out,
 /// the offending parameter.
 void load_parameters(const std::vector<Parameter*>& params, std::istream& in,
                      const std::string& context);
-
-/// Write all parameters to a file.
-void save_parameters(std::vector<Parameter*> params, const std::string& path);
-
-/// Read parameters from a file into the module's existing tensors.
-/// Throws CheckError on any name/shape mismatch.
-void load_parameters(std::vector<Parameter*> params, const std::string& path);
 
 }  // namespace pdnn::nn

@@ -9,8 +9,9 @@ namespace pdnn::util {
 
 namespace {
 
-/// Set while a thread is executing a chunk; nested run() calls detect it and
-/// degrade to a serial loop instead of deadlocking on the shared pool.
+/// Set while a thread is executing a chunk or holds a SerialScope; run()
+/// calls detect it and degrade to a serial loop instead of deadlocking on
+/// the shared pool.
 thread_local bool tls_inside_pool = false;
 
 /// Execute one chunk, measuring its latency (a "pool.chunk" span on the
@@ -154,6 +155,12 @@ void ThreadPool::worker_loop() {
     if (--active_workers_ == 0 && pending_ == 0) done_cv_.notify_all();
   }
 }
+
+SerialScope::SerialScope() : was_inside_(tls_inside_pool) {
+  tls_inside_pool = true;
+}
+
+SerialScope::~SerialScope() { tls_inside_pool = was_inside_; }
 
 int ThreadPool::default_threads() {
   if (const char* env = std::getenv("PDNN_THREADS")) {

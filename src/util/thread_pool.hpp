@@ -1,13 +1,13 @@
 // Deterministic shared thread pool.
 //
 // Every parallel region in the repository (GEMM row panels, per-sample conv
-// batches, dataset-generation transient solves) runs on one global pool so
-// layers never oversubscribe each other. Work is expressed as a fixed list of
-// chunks whose *partition* is independent of the thread count; only the
-// chunk->thread assignment is dynamic. Callers that reduce across chunks
-// accumulate into chunk-indexed partial buffers and fold them in chunk order,
-// so results are bit-identical for any pool size (see DESIGN.md, "Threading
-// model").
+// batches, depth-first inference chunks, dataset-generation transient
+// solves) runs on one global pool so layers never oversubscribe each other.
+// Work is expressed as a fixed list of chunks whose *partition* is
+// independent of the thread count; only the chunk->thread assignment is
+// dynamic. Callers that reduce across chunks accumulate into chunk-indexed
+// partial buffers and fold them in chunk order, so results are bit-identical
+// for any pool size (see DESIGN.md, "Threading model").
 //
 // The pool size comes from the PDNN_THREADS environment variable (or the
 // bench harnesses' --threads flag via set_global_threads), defaulting to
@@ -79,6 +79,20 @@ class ThreadPool {
   std::exception_ptr error_;  ///< first failure (guarded by mu_)
 };
 
+/// While alive, every ThreadPool::run() the calling thread makes executes
+/// serially on it, as a run nested inside a chunk does. For a pass too
+/// small to pay for any fan-out, including its layers' own.
+class SerialScope {
+ public:
+  SerialScope();
+  ~SerialScope();
+  SerialScope(const SerialScope&) = delete;
+  SerialScope& operator=(const SerialScope&) = delete;
+
+ private:
+  bool was_inside_;
+};
+
 /// Half-open index range of one chunk.
 struct ChunkRange {
   std::int64_t begin = 0;
@@ -104,6 +118,22 @@ inline ChunkRange reduction_range(std::int64_t n, std::int64_t chunks,
 inline std::int64_t reduction_chunks(std::int64_t n,
                                      std::int64_t max_chunks = 16) {
   return n < max_chunks ? n : max_chunks;
+}
+
+/// Least work, in flops, one chunk of a depth-first inference region
+/// carries. BM_PoolRegion (bench/micro_substrate.cpp) on a 4-core KVM Xeon,
+/// one region of 8 chunks of 3x3 8->8 convs, process CPU per region at pool
+/// width 4 against width 1: +40 % at 0.3 MFLOP chunks (70 vs 50 us), +18 %
+/// at 1.2 MFLOP (221 vs 188 us), +7 % at 4.7 MFLOP (821 vs 769 us); an
+/// empty region costs 1.8 us wall and 3.1 us CPU. At 4 MFLOP the fan-out
+/// costs under a tenth of the work it spreads.
+constexpr std::int64_t kMinChunkFlops = std::int64_t{4} << 20;
+
+/// Items per chunk so that each chunk carries at least kMinChunkFlops, given
+/// what one item costs. Depends on the shape alone, never on the pool width.
+inline std::int64_t grain_for_flops(std::int64_t flops_per_item) {
+  if (flops_per_item <= 0) return 1;
+  return (kMinChunkFlops + flops_per_item - 1) / flops_per_item;
 }
 
 /// Run body(begin, end) over grain-sized slices of [0, n) on the global

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <sstream>
 
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
@@ -211,9 +211,9 @@ TEST(Serialize, RoundTripPreservesWeights) {
   util::Rng rng(7);
   nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
   nn::Conv2d b(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
-  const std::string path = testing::TempDir() + "/weights.bin";
-  nn::save_parameters(a.parameters(), path);
-  nn::load_parameters(b.parameters(), path);
+  std::stringstream buf;
+  nn::save_parameters(a.parameters(), buf, "weights");
+  nn::load_parameters(b.parameters(), buf, "weights");
   for (std::size_t i = 0; i < 2; ++i) {
     const Tensor& ta = a.parameters()[i]->var.value();
     const Tensor& tb = b.parameters()[i]->var.value();
@@ -227,19 +227,18 @@ TEST(Serialize, RejectsShapeMismatch) {
   util::Rng rng(8);
   nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
   nn::Conv2d wrong(2, 4, 3, 1, 1, nn::PadMode::kZero, rng);
-  const std::string path = testing::TempDir() + "/weights2.bin";
-  nn::save_parameters(a.parameters(), path);
-  EXPECT_THROW(nn::load_parameters(wrong.parameters(), path), util::CheckError);
+  std::stringstream buf;
+  nn::save_parameters(a.parameters(), buf, "weights2");
+  EXPECT_THROW(nn::load_parameters(wrong.parameters(), buf, "weights2"),
+               util::CheckError);
 }
 
 TEST(Serialize, RejectsGarbageFile) {
-  const std::string path = testing::TempDir() + "/garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a weight file", f);
-  std::fclose(f);
+  std::stringstream buf("not a weight file");
   util::Rng rng(9);
   nn::Conv2d a(1, 1, 1, 1, 0, nn::PadMode::kZero, rng);
-  EXPECT_THROW(nn::load_parameters(a.parameters(), path), util::CheckError);
+  EXPECT_THROW(nn::load_parameters(a.parameters(), buf, "garbage"),
+               util::CheckError);
 }
 
 TEST(ConvTranspose2dLayer, ForwardShape) {

@@ -1,21 +1,29 @@
 // Determinism and correctness of the parallel execution layer: the thread
 // pool itself, then bit-identical results for GEMM, conv forward/backward,
-// and golden dataset generation at 1 vs. 4 pool threads, plus a gradient
-// check through the parallel conv path.
+// golden dataset generation and depth-first model inference at 1 vs. 4 pool
+// threads, plus a gradient check through the parallel conv path.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/artifact.hpp"
 #include "core/dataset.hpp"
+#include "core/features.hpp"
+#include "core/pipeline.hpp"
 #include "gradcheck.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/kernels/registry.hpp"
 #include "nn/conv.hpp"
 #include "nn/ops.hpp"
+#include "quant/calibrate.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -77,6 +85,21 @@ TEST(ThreadPool, NestedRunFallsBackToSerial) {
     pool.run(4, [&](std::int64_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ThreadPool, SerialScopeKeepsRunsOnTheCaller) {
+  util::ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  {
+    const util::SerialScope serial;
+    pool.run(16, [&](std::int64_t) {
+      if (std::this_thread::get_id() != caller) ++elsewhere;
+      // Leaving a nested scope must not end the outer one.
+      { const util::SerialScope inner; }
+    });
+  }
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
@@ -363,6 +386,211 @@ TEST(ParallelDataset, ProgressReportsEveryVector) {
   ASSERT_EQ(seen.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(seen[static_cast<std::size_t>(i)], i + 1);
+  }
+}
+
+// --- Depth-first inference -------------------------------------------------
+//
+// Under a NoGradGuard, fuse_currents and predict_noise run each chunk of
+// samples through every layer of their subnet; the references run the same
+// subnets layer by layer. The 23 x 19 tile grid keeps several chunks per
+// pass (about 400 kflop per fusion step, so 11 steps a chunk, and one
+// request a chunk in the prediction net), and its odd sides exercise the
+// decoder crops.
+
+pdn::DesignSpec inference_spec() {
+  pdn::DesignSpec s;
+  s.name = "depth_first";
+  s.tile_rows = 23;
+  s.tile_cols = 19;
+  s.nodes_per_tile = 1;
+  s.top_stride = 3;
+  s.bump_pitch = 3;
+  s.num_loads = 20;
+  s.unit_current = 5e-3;
+  s.seed = 61;
+  return s;
+}
+
+constexpr int kPoolWidths[] = {1, 2, 4};
+constexpr int kSteps[] = {1, 5, 12, 37};
+
+bool tensors_identical(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         bit_equal(a.data(), b.data(), static_cast<std::size_t>(a.numel()));
+}
+
+bool maps_identical(const util::MapF& a, const util::MapF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         bit_equal(a.data(), b.data(), a.size());
+}
+
+/// Every supported kernel backend, scalar first.
+std::vector<linalg::KernelBackend> backends() {
+  std::vector<linalg::KernelBackend> out{linalg::KernelBackend::kScalar};
+  if (linalg::backend_supported(linalg::KernelBackend::kAvx2)) {
+    out.push_back(linalg::KernelBackend::kAvx2);
+  }
+  return out;
+}
+
+/// Restores automatic backend selection when a test returns.
+struct BackendGuard {
+  explicit BackendGuard(linalg::KernelBackend b) { linalg::force_backend(b); }
+  ~BackendGuard() { linalg::clear_forced_backend(); }
+};
+
+/// A [steps, 1, 23, 19] stack of current maps.
+Tensor random_currents(int steps, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor t({steps, 1, 23, 19});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(rng.uniform());
+  }
+  return t;
+}
+
+/// Calibration forwards: whole-model passes over a few current stacks long
+/// enough to split into several fusion chunks.
+quant::CalibrationResult calibrate(const core::WorstCaseNoiseNet& model,
+                                   const Tensor& distance) {
+  quant::ActivationCalibrator calibrator;
+  nn::NoGradGuard no_grad;
+  for (std::uint64_t seed = 70; seed < 73; ++seed) {
+    model.forward(Var(distance), Var(random_currents(37, seed)));
+  }
+  return calibrator.result();
+}
+
+/// One design with an fp32 model and its int8 artifact.
+struct InferenceFixture {
+  pdn::PowerGrid grid{inference_spec()};
+  core::ModelConfig config;
+  std::unique_ptr<core::WorstCaseNoiseNet> fp32;
+  core::ModelArtifact int8;
+
+  InferenceFixture() {
+    config.distance_channels = static_cast<int>(grid.bumps().size());
+    config.tile_rows = 23;
+    config.tile_cols = 19;
+    config.init_seed = 19;
+    fp32 = std::make_unique<core::WorstCaseNoiseNet>(config);
+    const std::string path =
+        testing::TempDir() + "parallel_inference_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".int8.pdnb";
+    core::save_artifact_int8(*fp32, core::TemporalCompressionOptions{},
+                             calibrate(*fp32, core::distance_feature(grid)),
+                             path);
+    int8 = core::load_artifact(path);
+    std::remove(path.c_str());
+  }
+
+  std::vector<const core::WorstCaseNoiseNet*> models() const {
+    return {fp32.get(), int8.model.get()};
+  }
+};
+
+TEST(ParallelInference, FuseCurrentsMatchesLayerByLayer) {
+  const InferenceFixture fx;
+  // The grid is large enough that the longest stacks split into chunks.
+  ASSERT_LT(util::grain_for_flops(fx.fp32->fusion_net().flops_per_sample(
+                fx.config.tile_rows, fx.config.tile_cols)),
+            12);
+  const std::vector<linalg::KernelBackend> all_backends = backends();
+  nn::NoGradGuard no_grad;
+  for (const core::WorstCaseNoiseNet* model : fx.models()) {
+    for (int steps : kSteps) {
+      const Tensor x = random_currents(steps, 100 + steps);
+      Tensor reference;
+      {
+        PoolGuard pool(1);
+        BackendGuard backend(linalg::KernelBackend::kScalar);
+        reference = model->fusion_net().forward(Var(x)).value();
+      }
+      for (linalg::KernelBackend b : all_backends) {
+        BackendGuard backend(b);
+        for (int width : kPoolWidths) {
+          PoolGuard pool(width);
+          EXPECT_TRUE(tensors_identical(
+              reference, model->fuse_currents(Var(x)).value()))
+              << (model == fx.fp32.get() ? "fp32" : "int8") << ", T "
+              << steps << ", " << linalg::backend_name(b) << ", width "
+              << width;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelInference, InferBatchMatchesLayerByLayer) {
+  const InferenceFixture fx;
+  ASSERT_EQ(util::grain_for_flops(fx.fp32->prediction_net().flops_per_sample(
+                fx.config.tile_rows, fx.config.tile_cols)),
+            1);
+  const std::vector<linalg::KernelBackend> all_backends = backends();
+  for (const core::WorstCaseNoiseNet* model : fx.models()) {
+    const core::WorstCasePipeline pipeline(fx.grid, *model,
+                                           core::PipelineOptions{});
+    for (int steps : kSteps) {
+      std::vector<core::PreparedRequest> requests(3);
+      std::vector<util::MapF> reference;
+      {
+        PoolGuard pool(1);
+        BackendGuard backend(linalg::KernelBackend::kScalar);
+        nn::NoGradGuard no_grad;
+        const Var d_tilde = model->reduce_distance(Var(pipeline.distance()));
+        for (std::size_t r = 0; r < requests.size(); ++r) {
+          requests[r].currents = random_currents(steps, 200 + 10 * r + steps);
+          const Var stats = core::WorstCaseNoiseNet::temporal_stats(
+              model->fusion_net().forward(Var(requests[r].currents)));
+          const Var pred = model->prediction_net().forward(
+              nn::concat_channels({d_tilde, stats}));
+          reference.push_back(
+              core::tensor_to_map(pred.value(), model->config().noise_scale));
+        }
+      }
+      for (linalg::KernelBackend b : all_backends) {
+        BackendGuard backend(b);
+        for (int width : kPoolWidths) {
+          PoolGuard pool(width);
+          for (std::size_t batch : {1u, 3u}) {
+            std::vector<const core::PreparedRequest*> ptrs;
+            for (std::size_t r = 0; r < batch; ++r) ptrs.push_back(&requests[r]);
+            const std::vector<util::MapF> maps = pipeline.infer_batch(ptrs);
+            ASSERT_EQ(maps.size(), batch);
+            for (std::size_t r = 0; r < batch; ++r) {
+              EXPECT_TRUE(maps_identical(reference[r], maps[r]))
+                  << (model == fx.fp32.get() ? "fp32" : "int8") << ", T "
+                  << steps << ", B " << batch << ", request " << r << ", "
+                  << linalg::backend_name(b) << ", width " << width;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelInference, CalibrationIsIdenticalAcrossPoolWidths) {
+  const InferenceFixture fx;
+  const Tensor distance = core::distance_feature(fx.grid);
+  quant::CalibrationResult one;
+  {
+    PoolGuard pool(1);
+    one = calibrate(*fx.fp32, distance);
+  }
+  quant::CalibrationResult four;
+  {
+    PoolGuard pool(4);
+    four = calibrate(*fx.fp32, distance);
+  }
+  ASSERT_FALSE(one.activation_absmax.empty());
+  ASSERT_EQ(one.activation_absmax.size(), four.activation_absmax.size());
+  for (const auto& [name, absmax] : one.activation_absmax) {
+    const auto it = four.activation_absmax.find(name);
+    ASSERT_NE(it, four.activation_absmax.end()) << name;
+    EXPECT_TRUE(bit_equal(&absmax, &it->second, 1)) << name;
   }
 }
 
