@@ -22,37 +22,6 @@ std::int64_t conv3x3_flops(int cin, int cout, int h, int w) {
 /// Side of a stride-2, pad-1 3x3 conv's output.
 int half(int side) { return nn::conv_out_size(side, 3, 2, 1); }
 
-/// Inference forward of a subnet whose batch samples are independent, run
-/// depth-first: one parallel_for over fixed chunks of samples, each sized
-/// from the shape to carry at least util::kMinChunkFlops, and each carrying
-/// its samples through every layer into a disjoint slice of the output.
-/// The partition depends on the shape alone and each sample's convs run
-/// alone, so the bytes equal net.forward(x) at any pool width. A pass that
-/// fits in one chunk runs inline, with no layer fanning out either.
-template <typename Net>
-Var forward_depth_first(const Net& net, const Var& x) {
-  const Tensor& xv = x.value();
-  const int n = xv.n();
-  const std::int64_t grain =
-      util::grain_for_flops(net.flops_per_sample(xv.h(), xv.w()));
-  if (n <= grain) {
-    const util::SerialScope serial;
-    return net.forward(x);
-  }
-  Tensor out({n, net.out_channels(), xv.h(), xv.w()});
-  const std::int64_t sample = out.numel() / n;
-  util::parallel_for(n, grain, [&](std::int64_t b0, std::int64_t b1) {
-    // The guard's depth is thread_local: without its own guard a worker
-    // would record a tape, and a quantized conv would throw.
-    nn::NoGradGuard no_grad;
-    const Var y = net.forward(Var(xv.narrow_n(static_cast<int>(b0),
-                                              static_cast<int>(b1 - b0))));
-    std::copy(y.value().data(), y.value().data() + y.value().numel(),
-              out.data() + b0 * sample);
-  });
-  return Var(out);
-}
-
 }  // namespace
 
 UNet2::UNet2(int in_channels, int channels, int out_channels, util::Rng& rng)
@@ -97,20 +66,6 @@ Var UNet2::forward(const Var& x) const {
   return out_conv_.forward(m2);  // linear output layer
 }
 
-std::int64_t UNet2::flops_per_sample(int h, int w) const {
-  const int cin = in_conv_.in_channels();
-  const int c = in_conv_.out_channels();
-  const int h1 = half(h), w1 = half(w);
-  const int h2 = half(h1), w2 = half(w1);
-  return conv3x3_flops(cin, c, h, w) +              // in_conv
-         2 * conv3x3_flops(c, c, h1, w1) +          // down1_a, down1_b
-         3 * conv3x3_flops(c, c, h2, w2) +          // down2_a, down2_b, up1
-         conv3x3_flops(2 * c, c, h1, w1) +          // up1_conv
-         conv3x3_flops(c, c, h1, w1) +              // up2
-         conv3x3_flops(2 * c, c, h, w) +            // up2_conv
-         conv3x3_flops(c, out_channels(), h, w);    // out_conv
-}
-
 FusionNet::FusionNet(int channels, util::Rng& rng)
     : enc1_(1, channels, 3, 1, 1, PadMode::kReplicate, rng),
       enc2_(channels, channels, 3, 2, 1, PadMode::kReplicate, rng),
@@ -136,7 +91,7 @@ std::int64_t FusionNet::flops_per_sample(int h, int w) const {
   const int c = enc1_.out_channels();
   return conv3x3_flops(1, c, h, w) +                     // enc1
          2 * conv3x3_flops(c, c, half(h), half(w)) +     // enc2, dec1
-         conv3x3_flops(c, out_channels(), h, w);         // dec2
+         conv3x3_flops(c, 1, h, w);                      // dec2
 }
 
 WorstCaseNoiseNet::WorstCaseNoiseNet(const ModelConfig& config)
@@ -174,7 +129,34 @@ Var WorstCaseNoiseNet::fuse_currents(const Var& currents) const {
   PDN_CHECK(currents.value().ndim() == 4 && currents.value().c() == 1,
             "forward: currents tensor must be [T,1,m,n]");
   if (nn::NoGradGuard::enabled()) return fusion_net_.forward(currents);
-  return forward_depth_first(fusion_net_, currents);
+  // Inference runs depth-first: one parallel_for over fixed chunks of time
+  // steps, each chunk carrying its steps through every layer into a
+  // disjoint slice of the output. The partition depends on the shape alone
+  // and each step's convs run alone, so the bytes equal the layer-by-layer
+  // forward at any pool width.
+  const Tensor& x = currents.value();
+  const int steps = x.n();
+  const std::int64_t step_flops = fusion_net_.flops_per_sample(x.h(), x.w());
+  if (steps * step_flops < util::kMinChunkFlops) {
+    // The whole pass is less work than one chunk, so none of its layers
+    // fans out either (D1's 12 kept steps at small scale).
+    const util::SerialScope serial;
+    return fusion_net_.forward(currents);
+  }
+  Tensor out(x.shape());
+  const std::int64_t step_size = out.numel() / steps;
+  util::parallel_for(
+      steps, util::grain_for_flops(step_flops),
+      [&](std::int64_t t0, std::int64_t t1) {
+        // The guard's depth is thread_local: without its own guard a worker
+        // would record a tape, and a quantized conv would throw.
+        nn::NoGradGuard no_grad;
+        const Var y = fusion_net_.forward(Var(x.narrow_n(
+            static_cast<int>(t0), static_cast<int>(t1 - t0))));
+        std::copy(y.value().data(), y.value().data() + y.value().numel(),
+                  out.data() + t0 * step_size);
+      });
+  return Var(out);
 }
 
 Var WorstCaseNoiseNet::temporal_stats(const Var& fused) {
@@ -188,8 +170,7 @@ Var WorstCaseNoiseNet::temporal_stats(const Var& fused) {
 Var WorstCaseNoiseNet::predict_noise(const Var& stacked) const {
   PDN_CHECK(stacked.value().ndim() == 4 && stacked.value().c() == 4,
             "forward: feature stack must be [N,4,m,n]");
-  if (nn::NoGradGuard::enabled()) return prediction_net_.forward(stacked);
-  return forward_depth_first(prediction_net_, stacked);
+  return prediction_net_.forward(stacked);
 }
 
 }  // namespace pdnn::core

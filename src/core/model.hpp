@@ -29,14 +29,7 @@ class UNet2 : public nn::Module {
  public:
   UNet2(int in_channels, int channels, int out_channels, util::Rng& rng);
 
-  /// Layer-by-layer forward: every layer runs over the whole batch before
-  /// the next starts (the training path, and the inference reference).
   nn::Var forward(const nn::Var& x) const;
-
-  /// Flops one batch sample costs at an h x w input.
-  std::int64_t flops_per_sample(int h, int w) const;
-
-  int out_channels() const { return out_conv_.out_channels(); }
 
  private:
   nn::Conv2d in_conv_;
@@ -59,8 +52,6 @@ class FusionNet : public nn::Module {
 
   /// Flops one time step costs at an h x w input.
   std::int64_t flops_per_sample(int h, int w) const;
-
-  int out_channels() const { return dec2_.out_channels(); }
 
  private:
   nn::Conv2d enc1_, enc2_;
@@ -96,11 +87,11 @@ struct ModelConfig {
 /// stages, so the serial and batched paths share machine code and produce
 /// bit-identical results.
 ///
-/// At inference (under a NoGradGuard) fuse_currents and predict_noise run
-/// depth-first: one pool region over fixed chunks of batch samples, each
-/// chunk carrying its samples through every layer of the subnet. With a
-/// tape (training) they run the subnet layer by layer, each layer fanning
-/// its batch out on its own. Both produce the same bytes.
+/// At inference (under a NoGradGuard) fuse_currents runs depth-first: one
+/// pool region over fixed chunks of time steps, each chunk carrying its
+/// steps through every layer of the fusion subnet. With a tape (training)
+/// it runs the subnet layer by layer, each layer fanning its batch out on
+/// its own. Both produce the same bytes.
 class WorstCaseNoiseNet : public nn::Module {
  public:
   explicit WorstCaseNoiseNet(const ModelConfig& config);
@@ -130,7 +121,7 @@ class WorstCaseNoiseNet : public nn::Module {
   const ModelConfig& config() const { return config_; }
 
   /// The subnets, whose layer-by-layer forward is the reference the
-  /// depth-first fuse_currents / predict_noise reproduce byte for byte.
+  /// depth-first fuse_currents reproduces byte for byte.
   const FusionNet& fusion_net() const { return fusion_net_; }
   const UNet2& prediction_net() const { return prediction_net_; }
 

@@ -391,12 +391,12 @@ TEST(ParallelDataset, ProgressReportsEveryVector) {
 
 // --- Depth-first inference -------------------------------------------------
 //
-// Under a NoGradGuard, fuse_currents and predict_noise run each chunk of
-// samples through every layer of their subnet; the references run the same
-// subnets layer by layer. The 23 x 19 tile grid keeps several chunks per
-// pass (about 400 kflop per fusion step, so 11 steps a chunk, and one
-// request a chunk in the prediction net), and its odd sides exercise the
-// decoder crops.
+// Under a NoGradGuard, fuse_currents runs each chunk of time steps through
+// every layer of the fusion subnet; the references run the subnets layer by
+// layer. On the 23 x 19 tile grid a fusion step costs about 400 kflop, so
+// 11 steps make a chunk: T 1 and 5 run serially under a SerialScope, T 12
+// and 37 split into chunks. infer_batch fuses B requests' stacks in one
+// pass. The odd sides exercise the decoder crops.
 
 pdn::DesignSpec inference_spec() {
   pdn::DesignSpec s;
@@ -493,10 +493,11 @@ struct InferenceFixture {
 
 TEST(ParallelInference, FuseCurrentsMatchesLayerByLayer) {
   const InferenceFixture fx;
-  // The grid is large enough that the longest stacks split into chunks.
-  ASSERT_LT(util::grain_for_flops(fx.fp32->fusion_net().flops_per_sample(
-                fx.config.tile_rows, fx.config.tile_cols)),
-            12);
+  // The short stacks take the serial path and the long ones split.
+  const std::int64_t step_flops = fx.fp32->fusion_net().flops_per_sample(
+      fx.config.tile_rows, fx.config.tile_cols);
+  ASSERT_LT(5 * step_flops, util::kMinChunkFlops);
+  ASSERT_LT(util::grain_for_flops(step_flops), 12);
   const std::vector<linalg::KernelBackend> all_backends = backends();
   nn::NoGradGuard no_grad;
   for (const core::WorstCaseNoiseNet* model : fx.models()) {
@@ -525,9 +526,6 @@ TEST(ParallelInference, FuseCurrentsMatchesLayerByLayer) {
 
 TEST(ParallelInference, InferBatchMatchesLayerByLayer) {
   const InferenceFixture fx;
-  ASSERT_EQ(util::grain_for_flops(fx.fp32->prediction_net().flops_per_sample(
-                fx.config.tile_rows, fx.config.tile_cols)),
-            1);
   const std::vector<linalg::KernelBackend> all_backends = backends();
   for (const core::WorstCaseNoiseNet* model : fx.models()) {
     const core::WorstCasePipeline pipeline(fx.grid, *model,
