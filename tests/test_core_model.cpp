@@ -10,8 +10,10 @@
 #include "core/artifact.hpp"
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
+#include "linalg/kernels/registry.hpp"
 #include "pdn/power_grid.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -228,6 +230,27 @@ TEST(FusionNet, PreservesSpatialSizeAndBatch) {
   EXPECT_EQ(y.value().c(), 1);
   EXPECT_EQ(y.value().h(), 9);
   EXPECT_EQ(y.value().w(), 13);
+}
+
+TEST(FusionNet, FlopsPerSampleMatchesCountedGemmFlops) {
+  // The scalar backend lowers every conv and deconv through one counted
+  // GEMM per sample, so the counter checks the hand-written flop model that
+  // sizes fuse_currents' chunks against the layers themselves.
+  util::Rng rng(24);
+  core::FusionNet net(8, rng);
+  linalg::force_backend(linalg::KernelBackend::kScalar);
+  obs::set_enabled(true);
+  for (const auto& [h, w] : {std::pair{23, 19}, std::pair{9, 13},
+                             std::pair{40, 40}, std::pair{3, 3}}) {
+    obs::reset_counters();
+    net.forward(Var(random_tensor({3, 1, h, w}, 25)));
+    EXPECT_EQ(obs::counter_value(obs::Counter::kGemmFlops),
+              3 * net.flops_per_sample(h, w))
+        << h << "x" << w;
+  }
+  obs::set_enabled(false);
+  obs::reset_counters();
+  linalg::clear_forced_backend();
 }
 
 }  // namespace
